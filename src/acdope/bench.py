@@ -37,6 +37,8 @@ class BenchResult:
     sort_ms: float
     count: int
     enc_batch_means_us: tuple = field(default=(), repr=False)
+    dec_batch_means_us: tuple = field(default=(), repr=False)
+    sort_batch_ms: tuple = field(default=(), repr=False)
 
 
 def supported(scheme: str, rho: int) -> bool:
@@ -88,7 +90,7 @@ def bench_scheme(
 
     enc_means = []
     dec_means = []
-    sort_ms = 0.0
+    sort_times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         cts = [enc(m) for m in plaintexts]
@@ -96,7 +98,7 @@ def bench_scheme(
 
         t0 = time.perf_counter()
         cts.sort()
-        sort_ms = (time.perf_counter() - t0) * 1e3
+        sort_times.append((time.perf_counter() - t0) * 1e3)
 
         t0 = time.perf_counter()
         for c in cts:
@@ -109,9 +111,11 @@ def bench_scheme(
         init_ms=init_ms,
         enc_us_mean=statistics.fmean(enc_means),
         dec_us_mean=statistics.fmean(dec_means),
-        sort_ms=sort_ms,
+        sort_ms=statistics.median(sort_times),
         count=count,
         enc_batch_means_us=tuple(enc_means),
+        dec_batch_means_us=tuple(dec_means),
+        sort_batch_ms=tuple(sort_times),
     )
 
 
@@ -128,16 +132,19 @@ def format_table(results) -> str:
     return "\n".join(lines)
 
 
+def _spread(samples) -> float:
+    """Population standard deviation over the repeats; 0 for a single one."""
+    return statistics.pstdev(samples) if len(samples) > 1 else 0.0
+
+
 def metric_lines(result: BenchResult) -> list:
     tag = f"{result.scheme}.rho{result.rho}"
-    spread = (
-        statistics.pstdev(result.enc_batch_means_us)
-        if len(result.enc_batch_means_us) > 1
-        else 0.0
-    )
     return [
         f"metric={tag}.init_ms value={result.init_ms:.3f} band=0",
-        f"metric={tag}.enc_us value={result.enc_us_mean:.3f} band={spread:.3f}",
-        f"metric={tag}.dec_us value={result.dec_us_mean:.3f} band=0",
-        f"metric={tag}.sort_ms value={result.sort_ms:.3f} band=0",
+        f"metric={tag}.enc_us value={result.enc_us_mean:.3f} "
+        f"band={_spread(result.enc_batch_means_us):.3f}",
+        f"metric={tag}.dec_us value={result.dec_us_mean:.3f} "
+        f"band={_spread(result.dec_batch_means_us):.3f}",
+        f"metric={tag}.sort_ms value={result.sort_ms:.3f} "
+        f"band={_spread(result.sort_batch_ms):.3f}",
     ]

@@ -28,9 +28,14 @@ SEED_ENV = "OPE_SEED_HEX"
 
 def _resolve_seed(arg_seed):
     hexstr = arg_seed or os.environ.get(SEED_ENV)
-    if hexstr:
-        return seed_from_material(bytes.fromhex(hexstr))
-    return fresh_seed()
+    if not hexstr:
+        return fresh_seed()
+    try:
+        material = bytes.fromhex(hexstr)
+    except ValueError:
+        print(f"error: seed is not a hex string: {hexstr!r}", file=sys.stderr)
+        raise SystemExit(EXIT_PARAMS)
+    return seed_from_material(material)
 
 
 def _load_any_key(path):
@@ -47,7 +52,23 @@ def _load_any_key(path):
 
 def _read_ints(path):
     with open(path, encoding="utf-8") as fh:
-        return [int(line) for line in fh if line.strip()]
+        try:
+            return [int(line) for line in fh if line.strip()]
+        except ValueError:  # a bad line, or bytes that are not UTF-8
+            pass
+    # slow path, taken only to name the first bad line
+    values = []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                print(f"error: line {lineno}: not an integer in {path}: {line.strip()[:40]!r}",
+                      file=sys.stderr)
+                raise SystemExit(EXIT_DATA)
+    return values
 
 
 def _write_ints(path, values):
@@ -194,6 +215,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.M < 1:
+        print(f"error: --M must be positive, got {args.M}", file=sys.stderr)
+        return EXIT_PARAMS
     cts = _read_ints(args.infile)
     if not cts:
         print("error: empty ciphertext sample", file=sys.stderr)
@@ -284,7 +308,10 @@ def main(argv=None) -> int:
     except gacd.ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except SystemExit as exc:  # _load_any_key
+    except OSError as exc:  # key, input or output file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    except SystemExit as exc:  # _load_any_key, _resolve_seed, _read_ints
         return int(exc.code)
 
 

@@ -1,3 +1,5 @@
+import statistics
+
 import pytest
 
 from acdope import bench
@@ -39,3 +41,19 @@ class TestReporting:
         lines = bench.metric_lines(r)
         assert any(l.startswith("metric=gacd.rho7.enc_us value=") for l in lines)
         assert all(" band=" in l for l in lines)
+
+    def test_bands_and_sort_median_over_repeats(self):
+        r = bench.bench_scheme("gacd", 7, count=32, repeat=3, seed=seed_of(73))
+        assert len(r.dec_batch_means_us) == len(r.sort_batch_ms) == 3
+        assert r.sort_ms == statistics.median(r.sort_batch_ms)
+        bands = {
+            l.split()[0].rsplit(".", 1)[1]: l.split("band=")[1]
+            for l in bench.metric_lines(r)
+        }
+        assert bands["init_ms"] == "0"
+        for name, samples in (
+            ("enc_us", r.enc_batch_means_us),
+            ("dec_us", r.dec_batch_means_us),
+            ("sort_ms", r.sort_batch_ms),
+        ):
+            assert bands[name] == f"{statistics.pstdev(samples):.3f}"

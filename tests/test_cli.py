@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from acdope import cli, gacd, opf
@@ -249,3 +254,53 @@ class TestAnalyze:
         ct = str(tmp_path / "empty.txt")
         open(ct, "w").close()
         assert run("analyze", "--in", ct, "--M", "128") == cli.EXIT_DATA
+
+
+class TestMalformedInput:
+    """Each case exits with its documented code and a message, not a traceback."""
+
+    def test_non_integer_line_names_it(self, tmp_path, gacd_key, capsys):
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("1\n\n2\nthree\n4\n")
+        rc = run("encrypt", "--key", gacd_key, "--in", plain, "--seed", SEED,
+                 "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_DATA
+        assert "error: line 4" in capsys.readouterr().err
+
+    def test_missing_key_file(self, tmp_path, capsys):
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("1\n")
+        rc = run("encrypt", "--key", str(tmp_path / "nokey"), "--in", plain,
+                 "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_input_file(self, tmp_path, gacd_key, capsys):
+        rc = run("decrypt", "--key", gacd_key, "--in", str(tmp_path / "nofile"),
+                 "--out", str(tmp_path / "d"))
+        assert rc == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_seed_hex(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "x.key")
+        assert run("keygen", "--scheme", "gacd", "--rho", "7", "--seed", "xyz",
+                   "--out", out) == cli.EXIT_PARAMS
+        monkeypatch.setenv(cli.SEED_ENV, "abc")  # odd length
+        assert run("keygen", "--scheme", "gacd", "--rho", "7", "--out", out) == cli.EXIT_PARAMS
+        assert "hex" in capsys.readouterr().err
+
+    def test_analyze_zero_domain(self, tmp_path, capsys):
+        ct = str(tmp_path / "c.txt")
+        with open(ct, "w") as fh:
+            fh.write("5\n9\n")
+        assert run("analyze", "--in", ct, "--M", "0") == cli.EXIT_PARAMS
+        assert "--M" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, acdope.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

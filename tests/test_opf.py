@@ -171,6 +171,58 @@ class TestEncrypt:
         assert (first_frame.a, first_frame.b) == (0, key.M)
 
 
+# (plaintext, ciphertext) pairs under GOLDEN_KEY_SEED at rho = 15 and 31
+# (N = M^2), recorded before the Beta sampler's exact path was rewritten;
+# fixed-seed opf-beta ciphertexts must not move.
+GOLDEN_KEY_SEED = 0x5B
+OPF_GOLDEN = {
+    15: (
+        (0, 253594315),
+        (1, 253600260),
+        (16384, 658794347),
+        (32767, 1066976317),
+        (32768, 1067014619),
+        (429, 263727499),
+        (5737, 393399031),
+        (7293, 431486574),
+        (8526, 463571686),
+        (10173, 504139818),
+        (19262, 730166025),
+        (20984, 772695587),
+        (28743, 964938264),
+        (30754, 1015956065),
+        (31036, 1023112591),
+        (31177, 1026793464),
+    ),
+    31: (
+        (0, 1089179288164167932),
+        (1, 1089179288839064657),
+        (1073741824, 2844342029749378688),
+        (2147483647, 4599407753764283051),
+        (2147483648, 4599407756007547858),
+        (54613261, 1178449376196670369),
+        (91565283, 1238860709551588247),
+        (242586797, 1485714712365834019),
+        (617104379, 2097882061705392380),
+        (698092855, 2230279156418007152),
+        (899732969, 2559854822404433437),
+        (916323330, 2586970662734674161),
+        (997420246, 2719537648876511550),
+        (1004287812, 2730766856052254496),
+        (1143217314, 2957882653272651101),
+        (1951871444, 4279669822710601445),
+    ),
+}
+
+
+class TestGoldenCiphertexts:
+    @pytest.mark.parametrize("rho", sorted(OPF_GOLDEN))
+    def test_beta_ciphertexts(self, rho):
+        key = opf.make_opf_key(rho, opf.Sampler.BETA, master_seed=seed_of(GOLDEN_KEY_SEED))
+        pairs = OPF_GOLDEN[rho]
+        assert tuple((m, opf.opf_encrypt(m, key)) for m, _ in pairs) == pairs
+
+
 class TestDecrypt:
     def test_roundtrip_exhaustive_beta(self):
         key = beta_key()

@@ -32,10 +32,11 @@ import mpmath
 
 EXACT_DEGREE_LIMIT = 128
 
-# Iteration caps: the float Newton climbs monotonically and converges in a
-# handful of steps; the grid Newton needs one step per ~50 bits of precision.
+# Iteration cap of the float Newton, which climbs monotonically and
+# converges in a handful of steps.  The grid Newton's cap, 2 + prec // 40,
+# follows the precision, since each of its steps gains only ~50 bits (the
+# density is a float).
 _GUESS_MAX_STEPS = 64
-_GRID_MAX_STEPS = 4
 # Above this many bits, 2^-prec and 2^prec leave the range of a double, and
 # the search falls back to bisection over the grid.
 _FLOAT_PREC_LIMIT = 1000
@@ -170,7 +171,7 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
     shift = prec * (d - 1)
     log_norm = log(x * _binomial_row(d)[x])  # log 1/B(x, b)
     err = ldexp(q, prec - 42)  # in ulps: the guess is good to ~2^-50
-    for _ in range(_GRID_MAX_STEPS):
+    for _ in range(2 + prec // 40):
         if err < 0.5 or not 0 < wn < D:
             break
         z, zc = wn / D, (D - wn) / D

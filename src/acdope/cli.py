@@ -39,15 +39,43 @@ def _resolve_seed(arg_seed):
 
 
 def _load_any_key(path):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         first = fh.readline().strip()
     if first == f"scheme={gacd.KEY_FILE_SCHEME}":
-        return "gacd", gacd.load_key(path)
+        return gacd.load_key(path)
     if first == f"scheme={opf.KEY_FILE_SCHEME}":
-        key = opf.load_key(path)
-        return f"opf-{key.sampler.value}", key
+        return opf.load_key(path)
     print(f"error: unrecognised key file {path!r}", file=sys.stderr)
     raise SystemExit(EXIT_PARAMS)
+
+
+#: What a batch call raises on a bad value; each carries the value's
+#: position in the batch as `index`.
+DATA_ERRORS = (gacd.DomainError, gacd.ForeignCiphertextError,
+               opf.DomainError, opf.NotACiphertextError)
+
+
+def _encrypt_many(key, plaintexts, seed):
+    if isinstance(key, opf.OpfKey):
+        return opf.opf_encrypt_many(plaintexts, key)
+    # the noise stream is a child of the seed, never the stream keygen drew k from
+    noise = DeterministicGenerator(derive_seed(seed, b"gacd/noise"))
+    return gacd.encrypt_many(plaintexts, key, noise)
+
+
+def _decrypt_many(key, cts):
+    if isinstance(key, opf.OpfKey):
+        return opf.opf_decrypt_many(cts, key)
+    return gacd.decrypt_many(cts, key)
+
+
+def _decrypt_prefix(key, cts):
+    """The plaintexts of cts before the first one that fails to decrypt, and
+    that failure (None if every one decrypts)."""
+    try:
+        return _decrypt_many(key, cts), None
+    except DATA_ERRORS as exc:
+        return _decrypt_many(key, cts[:exc.index]), exc
 
 
 def _read_ints(path):
@@ -104,64 +132,50 @@ def cmd_keygen(args) -> int:
             print(f"error: scheme {args.scheme} needs a power-of-two M", file=sys.stderr)
             return EXIT_PARAMS
         sampler = opf.Sampler.BETA if args.scheme == "opf-beta" else opf.Sampler.UNIFORM
-        key = opf.make_opf_key(
-            r_bits=M.bit_length() - 1, sampler=sampler, N=args.N, master_seed=seed
-        )
+        try:
+            key = opf.make_opf_key(
+                r_bits=M.bit_length() - 1, sampler=sampler, N=args.N, master_seed=seed
+            )
+        except opf.DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARAMS
         opf.save_key(key, args.out)
     return EXIT_OK
 
 
-def _domain_bound(kind, key):
-    return key.params.M if kind == "gacd" else key.M
-
-
 def cmd_encrypt(args) -> int:
-    kind, key = _load_any_key(args.key)
-    gen = DeterministicGenerator(_resolve_seed(args.seed))
+    key = _load_any_key(args.key)
+    seed = _resolve_seed(args.seed)
 
     if args.random is not None:
-        bound = _domain_bound(kind, key)
-        pgen = DeterministicGenerator(derive_seed(_resolve_seed(args.seed), b"plain"))
-        plaintexts = [pgen.uniform_int(0, bound - 1) for _ in range(args.random)]
+        pgen = DeterministicGenerator(derive_seed(seed, b"plain"))
+        plaintexts = [pgen.uniform_int(0, key.M - 1) for _ in range(args.random)]
         _write_ints(args.out + ".plain", plaintexts)
     else:
         plaintexts = _read_ints(args.infile)
 
-    cts = []
-    for lineno, m in enumerate(plaintexts, start=1):
-        try:
-            if kind == "gacd":
-                cts.append(gacd.encrypt(m, key, gen))
-            else:
-                cts.append(opf.opf_encrypt(m, key))
-        except (gacd.DomainError, opf.DomainError) as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    try:
+        cts = _encrypt_many(key, plaintexts, seed)
+    except DATA_ERRORS as exc:
+        print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     _write_ints(args.out, cts)
     return EXIT_OK
 
 
-def _decrypt_one(kind, key, c):
-    if kind == "gacd":
-        return gacd.decrypt(c, key)
-    return opf.opf_decrypt(c, key)
-
-
 def cmd_decrypt(args) -> int:
-    kind, key = _load_any_key(args.key)
-    out = []
-    for lineno, c in enumerate(_read_ints(args.infile), start=1):
-        try:
-            out.append(_decrypt_one(kind, key, c))
-        except (gacd.ForeignCiphertextError, opf.NotACiphertextError, opf.DomainError) as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+    key = _load_any_key(args.key)
+    try:
+        out = _decrypt_many(key, _read_ints(args.infile))
+    except DATA_ERRORS as exc:
+        print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     _write_ints(args.out, out)
     return EXIT_OK
 
 
 def cmd_sort_verify(args) -> int:
-    kind, key = _load_any_key(args.key)
+    key = _load_any_key(args.key)
     cts = _read_ints(args.infile)
 
     if args.plain:
@@ -169,31 +183,27 @@ def cmd_sort_verify(args) -> int:
         if len(sidecar) != len(cts):
             print("error: sidecar length mismatch", file=sys.stderr)
             return EXIT_ORDER
-        for i, (c, m_expected) in enumerate(zip(cts, sidecar)):
-            try:
-                m = _decrypt_one(kind, key, c)
-            except (gacd.ForeignCiphertextError, opf.NotACiphertextError, opf.DomainError) as exc:
-                print(f"error: line {i + 1}: {exc}", file=sys.stderr)
-                return EXIT_DATA
+        ms, exc = _decrypt_prefix(key, cts)
+        for i, (m, m_expected) in enumerate(zip(ms, sidecar)):
             if m != m_expected:
                 print(f"error: plaintext cross-check failed at index {i}", file=sys.stderr)
                 return EXIT_ORDER
+        if exc is not None:
+            print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
     t0 = time.perf_counter()
     cts.sort()
     sort_ms = (time.perf_counter() - t0) * 1e3
 
-    prev = None
-    for i, c in enumerate(cts):
-        try:
-            m = _decrypt_one(kind, key, c)
-        except (gacd.ForeignCiphertextError, opf.NotACiphertextError, opf.DomainError) as exc:
-            print(f"error: sorted index {i}: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        if prev is not None and m < prev:
+    ms, exc = _decrypt_prefix(key, cts)
+    for i in range(1, len(ms)):
+        if ms[i] < ms[i - 1]:
             print(f"error: order violation at sorted index {i}", file=sys.stderr)
             return EXIT_ORDER
-        prev = m
+    if exc is not None:
+        print(f"error: sorted index {exc.index}: {exc}", file=sys.stderr)
+        return EXIT_DATA
     print(f"ok: {len(cts)} ciphertexts, plaintext order verified, sort {sort_ms:.2f} ms")
     return EXIT_OK
 
@@ -305,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except gacd.ParameterError as exc:
+    except (gacd.ParameterError, opf.KeyFormatError) as exc:  # bad parameters or key file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except OSError as exc:  # key, input or output file

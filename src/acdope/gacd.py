@@ -109,6 +109,12 @@ def validate_params(params: SchemeParams) -> ValidationReport:
             f"lambda={params.lam} below bound: need lambda > (8/3)*lg M, "
             f"i.e. lambda >= {lam_min}"
         )
+    else:
+        lo, hi = _noise_band(1 << params.lam)  # the narrowest band a key can get
+        if lo > hi:
+            reasons.append(
+                f"lambda={params.lam} leaves the noise band (k^(3/4), k - k^(3/4)) empty"
+            )
     if params.n_hint is not None:
         if params.n_hint > params.M // 10:
             reasons.append(
@@ -133,6 +139,10 @@ class SecretKey:
     noise_lo: int
     noise_hi: int
     params: SchemeParams = field(repr=False)
+
+    @property
+    def M(self) -> int:
+        return self.params.M
 
 
 def _noise_band(k: int) -> tuple[int, int]:
@@ -167,6 +177,32 @@ def decrypt(c: Ciphertext, key: SecretKey) -> int:
     return m
 
 
+def encrypt_many(ms: list, key: SecretKey, gen: DeterministicGenerator) -> list:
+    """[encrypt(m, key, gen) for m in ms], noise drawn in list order.  A
+    DomainError carries the position of the failing plaintext as `index`."""
+    out = []
+    try:
+        for i, m in enumerate(ms):
+            out.append(encrypt(m, key, gen))
+    except DomainError as exc:
+        exc.index = i
+        raise
+    return out
+
+
+def decrypt_many(cs: list, key: SecretKey) -> list:
+    """[decrypt(c, key) for c in cs].  A ForeignCiphertextError carries the
+    position of the failing ciphertext as `index`."""
+    out = []
+    try:
+        for i, c in enumerate(cs):
+            out.append(decrypt(c, key))
+    except ForeignCiphertextError as exc:
+        exc.index = i
+        raise
+    return out
+
+
 def noise_entropy_bits(key: SecretKey) -> float:
     """lg of the noise-band size: entropy added to each ciphertext."""
     return math.log2(key.noise_hi - key.noise_lo + 1)
@@ -181,13 +217,23 @@ def save_key(key: SecretKey, path: str) -> None:
 
 
 def load_key(path: str) -> SecretKey:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    fields = dict(ln.split("=", 1) for ln in lines)
+    """Read a key file; a malformed file or a key that fails validate_params
+    raises ParameterError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fields = dict(ln.strip().split("=", 1) for ln in fh if ln.strip())
+    except ValueError as exc:  # a line without '=', or bytes that are not UTF-8
+        raise ParameterError(f"malformed key file {path!r}: {exc}") from exc
     if fields.get("scheme") != KEY_FILE_SCHEME:
         raise ParameterError(f"unexpected key file scheme: {fields.get('scheme')!r}")
-    params = SchemeParams(M=int(fields["M"]), lam=int(fields["lambda"]))
-    k = int(fields["k"])
+    try:
+        params = SchemeParams(M=int(fields["M"]), lam=int(fields["lambda"]))
+        k = int(fields["k"])
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"malformed key file {path!r}: {exc!r}") from exc
+    report = validate_params(params)
+    if not report.ok:
+        raise ParameterError("; ".join(report.reasons))
     if not (1 << params.lam) <= k < (1 << (params.lam + 1)):
         raise ParameterError("key k outside [2^lambda, 2^(lambda+1))")
     lo, hi = _noise_band(k)

@@ -6,7 +6,9 @@ without ever materialising it.  Encryption bisects the domain; each frame
 midpoint image f((a+b)/2) = f(a) + z with z in [0, f(b) - f(a)], and recurses
 into the half containing the plaintext.  Decryption replays exactly the same
 frames and pseudorandom choices, so it reconstructs the identical f values
-and walks down to the preimage.
+and walks down to the preimage.  opf_encrypt_many and opf_decrypt_many do
+the same for a batch, visiting it in sorted order so that a frame shared by
+neighbouring values is drawn once.
 
 Two midpoint samplers are supported.  "uniform" draws z uniformly (the
 CryptDB-style ope-exp baseline; it deliberately ignores the tail condition
@@ -26,7 +28,7 @@ from math import comb
 from typing import Optional
 
 from . import betadist
-from .prng import SEED_BYTES, DeterministicGenerator, Seed, fresh_seed
+from .prng import DeterministicGenerator, Seed, fresh_seed
 
 KEY_FILE_SCHEME = "opf/1"
 
@@ -86,6 +88,8 @@ def make_opf_key(
         N = M * M
     if N < M * M:
         raise DomainError(f"N={N} below M^2={M * M}")
+    if N < 5:  # init_endpoints needs 1 <= f(0) < f(M) <= N with f(M) - f(0) > 3N/4
+        raise DomainError(f"N={N} leaves no room for the endpoints; need N >= 5")
     if master_seed is None:
         master_seed = fresh_seed()
     return OpfKey(master_seed=master_seed, r_bits=r_bits, N=N, sampler=sampler)
@@ -221,6 +225,118 @@ def opf_decrypt(c: int, key: OpfKey, trace: Optional[list] = None) -> int:
             a, fa = x, fx
 
 
+def _shared_midpoints(key: OpfKey):
+    """Midpoint lookup for a batch of descents made in sorted order.
+
+    A node's frame is fixed by (a, b), so consecutive descents share the top
+    of their paths.  The lookup keeps the previous descent, one (a, b, fx)
+    per depth, and computes a frame only where (a, b) differs from it; below
+    the first difference the kept entries are dropped.  Memory stays O(depth).
+    """
+    prec = _beta_precision(key)
+    path = []
+
+    def mid(depth: int, a: int, b: int, fa: int, fb: int) -> int:
+        if depth < len(path):
+            pa, pb, fx = path[depth]
+            if pa == a and pb == b:
+                return fx
+            del path[depth:]
+        fx = _midpoint_value(key, RangeFrame(a, b, fa, fb), prec)
+        path.append((a, b, fx))
+        return fx
+
+    return mid
+
+
+def _sorted_positions(values: list) -> list:
+    return sorted(range(len(values)), key=values.__getitem__)
+
+
+def opf_encrypt_many(ms: list, key: OpfKey) -> list:
+    """[opf_encrypt(m, key) for m in ms], visiting the plaintexts in sorted
+    order so that each shared frame is drawn once.  On a plaintext outside
+    [0, M] the DomainError of the first one in input order is raised, with
+    its position in ms as the attribute `index`."""
+    M = key.M
+    for i, m in enumerate(ms):
+        if not 0 <= m <= M:
+            exc = DomainError(f"plaintext {m} outside [0, {M}]")
+            exc.index = i
+            raise exc
+    f0, fM = init_endpoints(key)
+    mid = _shared_midpoints(key)
+
+    def encrypt(m: int) -> int:
+        if m == 0:
+            return f0
+        if m == M:
+            return fM
+        a, b, fa, fb, depth = 0, M, f0, fM, 0
+        while True:
+            fx = mid(depth, a, b, fa, fb)
+            x = (a + b) // 2
+            if x == m:
+                return fx
+            if m < x:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
+            depth += 1
+
+    out = [0] * len(ms)
+    for i in _sorted_positions(ms):
+        out[i] = encrypt(ms[i])
+    return out
+
+
+def opf_decrypt_many(cs: list, key: OpfKey) -> list:
+    """[opf_decrypt(c, key) for c in cs], visiting the ciphertexts in sorted
+    order so that each shared frame is drawn once.  If any ciphertext fails,
+    the error that opf_decrypt raises on the first failing one in input order
+    is raised, with its position in cs as the attribute `index`."""
+    M, N = key.M, key.N
+    f0, fM = init_endpoints(key)
+    mid = _shared_midpoints(key)
+
+    def decrypt(c: int) -> int:
+        if not 1 <= c <= N:
+            raise DomainError(f"ciphertext {c} outside [1, {N}]")
+        if c == f0:
+            return 0
+        if c == fM:
+            return M
+        if not f0 < c < fM:
+            raise NotACiphertextError(f"{c} outside the image interval [{f0}, {fM}]")
+        a, b, fa, fb, depth = 0, M, f0, fM, 0
+        while True:
+            if b - a == 1:
+                raise NotACiphertextError(f"{c} falls in a gap of the function image")
+            fx = mid(depth, a, b, fa, fb)
+            x = (a + b) // 2
+            if fx == c:
+                return x
+            if c < fx:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
+            depth += 1
+
+    out = [0] * len(cs)
+    failure = None
+    for i in _sorted_positions(cs):
+        if failure is not None and i > failure.index:
+            continue  # cannot be the first failure in input order
+        try:
+            out[i] = decrypt(cs[i])
+        except (DomainError, NotACiphertextError) as exc:
+            exc.index = i
+            failure = exc
+    if failure is not None:
+        raise failure
+    return out
+
+
 def eq1_pmf(x: int, a: int, y: int, b: int) -> Fraction:
     """Reference pmf of the x-th smallest of a uniform draws on [0, b]
     landing at y; exact rational.  Used to sanity-check samplers, never in
@@ -242,17 +358,21 @@ def save_key(key: OpfKey, path: str) -> None:
 
 
 def load_key(path: str) -> OpfKey:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    fields = dict(ln.split("=", 1) for ln in lines)
+    """Read a key file; a malformed file or parameters that make_opf_key
+    rejects raise KeyFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fields = dict(ln.strip().split("=", 1) for ln in fh if ln.strip())
+    except ValueError as exc:  # a line without '=', or bytes that are not UTF-8
+        raise KeyFormatError(f"malformed key file {path!r}: {exc}") from exc
     if fields.get("scheme") != KEY_FILE_SCHEME:
         raise KeyFormatError(f"unexpected key file scheme: {fields.get('scheme')!r}")
-    seed = Seed.from_hex(fields["seed_hex"])
-    if len(seed.data) != SEED_BYTES:
-        raise KeyFormatError("bad seed length")
-    return make_opf_key(
-        r_bits=int(fields["r_bits"]),
-        sampler=Sampler(fields["sampler"]),
-        N=int(fields["N"]),
-        master_seed=seed,
-    )
+    try:
+        return make_opf_key(
+            r_bits=int(fields["r_bits"]),
+            sampler=Sampler(fields["sampler"]),
+            N=int(fields["N"]),
+            master_seed=Seed.from_hex(fields["seed_hex"]),
+        )
+    except (KeyError, ValueError) as exc:  # DomainError is a ValueError too
+        raise KeyFormatError(f"malformed key file {path!r}: {exc!r}") from exc

@@ -77,10 +77,6 @@ class DeterministicGenerator:
         self._buf = b""
         self._pos = 0
 
-    @classmethod
-    def from_seed(cls, seed: Seed) -> "DeterministicGenerator":
-        return cls(seed)
-
     def bytes(self, n: int) -> bytes:
         out = bytearray()
         while n > 0:

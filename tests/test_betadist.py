@@ -134,6 +134,26 @@ class TestInverse:
         assert betadist._cdf_leq(4, 5, wn, prec, un)
         assert not betadist._cdf_leq(4, 5, wn + 1, prec, un)
 
+    def test_high_precision_search_stays_short(self, monkeypatch):
+        # each grid Newton step gains ~50 bits (the density is a float), so
+        # the step cap follows the precision; with a fixed cap of four steps
+        # the search fell through to a 480-step bisection here
+        prec = 480
+        calls = []
+        real = betadist._cdf_num
+        monkeypatch.setattr(betadist, "_cdf_num", lambda *a: calls.append(a) or real(*a))
+        g = gen_of(42)
+        for x, b in ((64, 65), (8, 9), (2, 3)):
+            un = g.bits(prec)
+            calls.clear()
+            wn = betadist.beta_icdf_bits(x, b, un, prec)
+            assert len(calls) <= 20
+            lo, hi = 0, 1 << prec  # plain bisection over the grid
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if betadist._cdf_leq(x, b, mid, prec, un) else (lo, mid)
+            assert wn == lo
+
     def test_beyond_double_range_bisects(self):
         # 2^-1100 underflows a double, so the float guess is skipped
         prec = 1100

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from acdope import cli, gacd, opf
+from acdope.prng import DeterministicGenerator, seed_from_material
 
 SEED = "ab" * 32
 SEED2 = "cd" * 32
@@ -144,6 +145,25 @@ class TestEncryptDecrypt:
         assert run("decrypt", "--key", beta_key, "--in", ct, "--out", out) == 0
         assert open(out).read() == open(plain).read()
 
+    def test_opf_out_of_domain_names_line(self, tmp_path, beta_key, capsys):
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("1\n5\n129\n-1\n")
+        rc = run("encrypt", "--key", beta_key, "--in", plain, "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_DATA
+        assert "error: line 3: plaintext 129" in capsys.readouterr().err
+
+    def test_opf_bad_ciphertext_names_first_in_input_order(self, tmp_path, beta_key, capsys):
+        # the batch visits values in sorted order; the report follows the file
+        key = opf.load_key(beta_key)
+        c = opf.opf_encrypt(64, key)
+        ct = str(tmp_path / "c.txt")
+        with open(ct, "w") as fh:
+            fh.write(f"{c}\n{key.N + 1}\n{c + 1}\n0\n")
+        rc = run("decrypt", "--key", beta_key, "--in", ct, "--out", str(tmp_path / "d"))
+        assert rc == cli.EXIT_DATA
+        assert f"error: line 2: ciphertext {key.N + 1} outside" in capsys.readouterr().err
+
     def test_unknown_key_file(self, tmp_path, capsys):
         bogus = str(tmp_path / "k.key")
         with open(bogus, "w") as fh:
@@ -196,6 +216,53 @@ class TestSortVerify:
             fh.write(f"{500 * key.k}\n")
         rc = run("sort-verify", "--key", gacd_key, "--in", ct)
         assert rc == cli.EXIT_DATA
+
+
+    def test_opf_gap_is_data_error(self, tmp_path, beta_key, capsys):
+        key = opf.load_key(beta_key)
+        cts = [opf.opf_encrypt(m, key) for m in (3, 64, 100)]
+        ct = str(tmp_path / "c.txt")
+        with open(ct, "w") as fh:
+            fh.write("".join(f"{c}\n" for c in (cts[2], cts[1] + 1, cts[0])))
+        assert run("sort-verify", "--key", beta_key, "--in", ct) == cli.EXIT_DATA
+        assert "error: sorted index 1:" in capsys.readouterr().err
+
+    def test_opf_cross_check(self, tmp_path, beta_key, capsys):
+        ct = self.make_batch(tmp_path, beta_key, n=30)
+        assert run("sort-verify", "--key", beta_key, "--in", ct, "--plain", ct + ".plain") == 0
+        plains = open(ct + ".plain").read().splitlines()
+        plains[4] = str(int(plains[4]) ^ 1)
+        with open(ct + ".plain", "w") as fh:
+            fh.write("\n".join(plains) + "\n")
+        rc = run("sort-verify", "--key", beta_key, "--in", ct, "--plain", ct + ".plain")
+        assert rc == cli.EXIT_ORDER
+        assert "cross-check failed at index 4" in capsys.readouterr().err
+
+
+class TestSeedSeparation:
+    def test_noise_stream_does_not_reveal_key(self, tmp_path):
+        # With one --seed for keygen and encrypt, noise drawn from the
+        # keygen stream itself repeats the bytes that made k: the first
+        # offset is 2 (k - 2^lambda) or one more, so one ciphertext of a
+        # known plaintext gives k.  The CLI draws noise from a child seed.
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("0\n")
+        for i in range(8):
+            seed = f"{i:02x}" * 32
+            key_path, ct = str(tmp_path / f"{i}.key"), str(tmp_path / f"{i}.ct")
+            assert run("keygen", "--scheme", "gacd", "--rho", "31", "--seed", seed,
+                       "--out", key_path) == 0
+            assert run("encrypt", "--key", key_path, "--in", plain, "--seed", seed,
+                       "--out", ct) == 0
+            key = gacd.load_key(key_path)
+
+            def reveals_k(c0):
+                return (c0 - key.noise_lo) - 2 * (key.k - (1 << key.params.lam)) in (0, 1)
+
+            shared = DeterministicGenerator(seed_from_material(bytes.fromhex(seed)))
+            assert reveals_k(gacd.encrypt(0, key, shared))
+            assert not reveals_k(int(open(ct).read()))
 
 
 class TestBench:
@@ -297,6 +364,38 @@ class TestMalformedInput:
             fh.write("5\n9\n")
         assert run("analyze", "--in", ct, "--M", "0") == cli.EXIT_PARAMS
         assert "--M" in capsys.readouterr().err
+
+
+    def test_opf_keygen_range_too_small(self, tmp_path, capsys):
+        out = str(tmp_path / "x.key")
+        assert run("keygen", "--scheme", "opf-beta", "--rho", "7", "--N", "5",
+                   "--out", out) == cli.EXIT_PARAMS
+        assert "below M^2" in capsys.readouterr().err
+        # M=2 with the default N=4 leaves no room for the endpoints
+        assert run("keygen", "--scheme", "opf-uniform", "--rho", "1",
+                   "--out", out) == cli.EXIT_PARAMS
+
+    def test_gacd_keygen_empty_noise_band(self, tmp_path, capsys):
+        assert run("keygen", "--scheme", "gacd", "--rho", "1",
+                   "--out", str(tmp_path / "x.key")) == cli.EXIT_PARAMS
+        assert "noise band" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"scheme=gacd-ope/1\nM=128\nk=600000\n",  # no lambda
+        b"scheme=gacd-ope/1\nlambda=3\nM=128\nk=9\n",  # fails validate_params
+        b"scheme=gacd-ope/1\nlambda=3\nM=2\nk=9\n",  # empty noise band
+        b"scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
+        b"scheme=opf/1\nsampler=uniform\nr_bits=1\nN=4\nseed_hex=" + b"00" * 32 + b"\n",
+        b"\xff\xfe\x00scheme",  # not UTF-8
+        b"scheme=gacd-ope/1\nlambda=19\nM=128\nk=\xff\n",  # not UTF-8 after the tag
+    ])
+    def test_damaged_key_file(self, tmp_path, capsys, content):
+        key, plain = tmp_path / "bad.key", tmp_path / "p.txt"
+        key.write_bytes(content)
+        plain.write_text("1\n")
+        rc = run("encrypt", "--key", str(key), "--in", str(plain), "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():

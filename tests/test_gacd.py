@@ -70,6 +70,15 @@ class TestValidateParams:
         rep = gacd.validate_params(gacd.SchemeParams(M=2**20, lam=60, n_hint=2**19))
         assert not rep.ok
 
+    def test_empty_noise_band_fails(self):
+        # M=2 meets lambda > (8/3) lg M at lambda=3, but no k below 2^5 has
+        # an integer strictly inside (k^(3/4), k - k^(3/4)) for every k
+        for lam in (3, 4):
+            rep = gacd.validate_params(gacd.SchemeParams(M=2, lam=lam))
+            assert not rep.ok
+            assert any("noise band" in r for r in rep.reasons)
+        assert gacd.validate_params(gacd.SchemeParams(M=2, lam=5)).ok
+
     def test_n_hint_warning_band(self):
         rep = gacd.validate_params(gacd.SchemeParams(M=10_000, lam=36, n_hint=500))
         assert rep.ok
@@ -199,6 +208,25 @@ class TestEncryptDecrypt:
         assert 18.0 < bits < 20.0  # ~ lambda - small correction at lambda=19
 
 
+class TestBatch:
+    def test_matches_single_ops_and_noise_order(self):
+        key = small_key()
+        ms = [5, 0, 128, 5, 77]
+        cts = gacd.encrypt_many(ms, key, gen_of(60))
+        gen = gen_of(60)
+        assert cts == [gacd.encrypt(m, key, gen) for m in ms]
+        assert gacd.decrypt_many(cts, key) == ms
+
+    def test_failing_position(self):
+        key = small_key()
+        with pytest.raises(gacd.DomainError) as info:
+            gacd.encrypt_many([1, 2, 129, -1], key, gen_of(61))
+        assert info.value.index == 2
+        with pytest.raises(gacd.ForeignCiphertextError) as info:
+            gacd.decrypt_many([key.k, 200 * key.k, -key.k], key)
+        assert info.value.index == 1
+
+
 class TestKeyFile:
     def test_roundtrip(self, tmp_path):
         key = small_key()
@@ -206,6 +234,14 @@ class TestKeyFile:
         gacd.save_key(key, path)
         loaded = gacd.load_key(path)
         assert loaded == key
+
+    @pytest.mark.parametrize("M", [2, 2**7])
+    def test_load_validates_params(self, tmp_path, M):
+        path = str(tmp_path / "k.key")
+        with open(path, "w") as fh:
+            fh.write(f"scheme=gacd-ope/1\nlambda=3\nM={M}\nk=9\n")
+        with pytest.raises(gacd.ParameterError):
+            gacd.load_key(path)
 
     def test_format_lines(self, tmp_path):
         key = small_key()

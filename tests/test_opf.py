@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdope import opf
 from acdope.prng import DeterministicGenerator
@@ -37,6 +39,13 @@ class TestKeyConstruction:
     def test_tiny_domain_rejected(self):
         with pytest.raises(opf.DomainError):
             opf.make_opf_key(0, opf.Sampler.BETA)
+
+    def test_no_room_for_endpoints_rejected(self):
+        # M=2, N=4 is the one square range where f(M) - f(0) > 3N/4 cannot fit
+        with pytest.raises(opf.DomainError):
+            opf.make_opf_key(1, opf.Sampler.UNIFORM, master_seed=seed_of(1))
+        key = opf.make_opf_key(1, opf.Sampler.UNIFORM, N=5, master_seed=seed_of(1))
+        assert opf.init_endpoints(key) == (1, 5)
 
     def test_fresh_seed_when_omitted(self):
         a = opf.make_opf_key(4, opf.Sampler.UNIFORM)
@@ -223,6 +232,15 @@ class TestGoldenCiphertexts:
         assert tuple((m, opf.opf_encrypt(m, key)) for m, _ in pairs) == pairs
 
 
+    @pytest.mark.parametrize("rho", sorted(OPF_GOLDEN))
+    def test_beta_ciphertexts_batch(self, rho):
+        key = opf.make_opf_key(rho, opf.Sampler.BETA, master_seed=seed_of(GOLDEN_KEY_SEED))
+        pairs = OPF_GOLDEN[rho]
+        ms = [m for m, _ in pairs]
+        assert tuple(zip(ms, opf.opf_encrypt_many(ms, key))) == pairs
+        assert opf.opf_decrypt_many([c for _, c in pairs], key) == ms
+
+
 class TestDecrypt:
     def test_roundtrip_exhaustive_beta(self):
         key = beta_key()
@@ -262,6 +280,79 @@ class TestDecrypt:
             opf.opf_decrypt(0, key)
         with pytest.raises(opf.DomainError):
             opf.opf_decrypt(key.N + 1, key)
+
+
+@st.composite
+def batch_case(draw, max_r_bits=15):
+    """A key (either sampler, r_bits 2..max_r_bits) and a batch of its
+    plaintexts with the endpoints 0 and M likely and duplicates added."""
+    sampler = draw(st.sampled_from(list(opf.Sampler)))
+    r_bits = draw(st.integers(min_value=2, max_value=max_r_bits))
+    key = opf.make_opf_key(r_bits, sampler, master_seed=seed_of(draw(st.integers(0, 255))))
+    value = st.one_of(st.integers(min_value=0, max_value=key.M), st.sampled_from([0, key.M]))
+    ms = draw(st.lists(value, max_size=8))
+    return key, ms + ms[: draw(st.integers(min_value=0, max_value=3))]
+
+
+class TestBatch:
+    """The batch path against the single-op reference."""
+
+    @given(case=batch_case(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_equals_map_single(self, case, data):
+        key, ms = case
+        cts = [opf.opf_encrypt(m, key) for m in ms]
+        assert opf.opf_encrypt_many(ms, key) == cts
+        shuffled = data.draw(st.permutations(cts))
+        assert opf.opf_decrypt_many(shuffled, key) == [opf.opf_decrypt(c, key) for c in shuffled]
+
+    @given(case=batch_case(max_r_bits=8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_failing_index_is_first_in_input_order(self, case, data):
+        key, ms = case
+        f0, fM = opf.init_endpoints(key)
+        cts = [opf.opf_encrypt(m, key) for m in ms]
+        near = [c + d for c in cts for d in (-1, 1)]  # gaps, mostly
+        edges = [0, 1, f0 - 1, fM + 1, key.N, key.N + 1]
+        cs = data.draw(st.lists(st.sampled_from(cts + near + edges), min_size=1, max_size=12))
+        expected = None
+        for i, c in enumerate(cs):
+            try:
+                opf.opf_decrypt(c, key)
+            except (opf.DomainError, opf.NotACiphertextError) as exc:
+                expected = (i, type(exc), str(exc))
+                break
+        if expected is None:
+            assert opf.opf_decrypt_many(cs, key) == [opf.opf_decrypt(c, key) for c in cs]
+            return
+        with pytest.raises((opf.DomainError, opf.NotACiphertextError)) as info:
+            opf.opf_decrypt_many(cs, key)
+        assert (info.value.index, type(info.value), str(info.value)) == expected
+
+    def test_encrypt_reports_first_bad_plaintext(self):
+        key = beta_key()
+        with pytest.raises(opf.DomainError) as info:
+            opf.opf_encrypt_many([3, 0, 200, -1, 129], key)
+        assert info.value.index == 2
+
+    def test_empty_batch(self):
+        key = beta_key()
+        assert opf.opf_encrypt_many([], key) == []
+        assert opf.opf_decrypt_many([], key) == []
+
+    def test_shared_frames_drawn_once(self, monkeypatch):
+        # a batch over the whole domain, shuffled and with every plaintext
+        # twice, draws each of the M - 1 internal nodes exactly once
+        key = beta_key(r_bits=5)
+        ms = list(range(key.M + 1)) * 2
+        ms = ms[1::2] + ms[::2]
+        expected = [opf.opf_encrypt(m, key) for m in ms]
+        calls = []
+        real = opf._midpoint_value
+        monkeypatch.setattr(opf, "_midpoint_value", lambda *a: calls.append(a[1]) or real(*a))
+        assert opf.opf_encrypt_many(ms, key) == expected
+        assert len(calls) == key.M - 1
+        assert len({(fr.a, fr.b) for fr in calls}) == key.M - 1
 
 
 class TestCollapsedSubrange:
@@ -309,6 +400,20 @@ class TestKeyFile:
         assert lines[2] == "r_bits=7"
         assert lines[3] == "N=1048576"
         assert lines[4].startswith("seed_hex=")
+
+    @pytest.mark.parametrize("text", [
+        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
+        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\n",
+        "scheme=opf/1\nsampler=gaussian\nr_bits=4\nN=256\nseed_hex=" + "00" * 32 + "\n",
+        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=255\nseed_hex=" + "00" * 32 + "\n",
+        "scheme=opf/1\nsampler=beta\nr_bits\n",
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = str(tmp_path / "bad.key")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(opf.KeyFormatError):
+            opf.load_key(path)
 
     def test_bad_scheme_rejected(self, tmp_path):
         path = str(tmp_path / "bad.key")

@@ -137,11 +137,13 @@ class LeakageReport:
 
 
 def flatten_leakage_report(model) -> LeakageReport:
+    A = model.A
     entries = []
     worst = 0.0
     for m in range(1, model.M):
-        ratio = m * model.p(m) / model.F[m]
-        bits = math.log2(float(ratio))
+        # m * p_m / F(m) over the model's integer numerators; int true
+        # division is correctly rounded, as float() of the Fraction is
+        bits = math.log2(m * (A[m + 1] - A[m]) / A[m])
         entries.append((m, bits))
         worst = max(worst, bits)
     return LeakageReport(entries=tuple(entries), max_bits=worst)

@@ -25,6 +25,11 @@ EXIT_ORDER = 4
 
 SEED_ENV = "OPE_SEED_HEX"
 
+#: Largest --rho, lambda and bit length of N that keygen accepts: keys stay
+#: quick to check, and their decimal key files within the 4300 digits Python
+#: converts between int and str by default.
+MAX_KEY_BITS = 12288
+
 
 def _resolve_seed(arg_seed):
     hexstr = arg_seed or os.environ.get(SEED_ENV)
@@ -99,16 +104,47 @@ def _read_ints(path):
     return values
 
 
+def _line_of(path, index):
+    """The file line of the index-th value _read_ints read from path (blank
+    lines hold no value); read again only to report a bad value."""
+    lineno = 0
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                if index == 0:
+                    break
+                index -= 1
+    return lineno
+
+
+def _data_error(path, exc) -> int:
+    """Report a batch call's bad value by its line in path."""
+    print(f"error: line {_line_of(path, exc.index)}: {exc}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def _write_ints(path, values):
     with open(path, "w", encoding="utf-8") as fh:
         for v in values:
             fh.write(f"{v}\n")
 
 
+def _too_large(name, bits) -> bool:
+    if bits <= MAX_KEY_BITS:
+        return False
+    print(f"error: {name} exceeds the {MAX_KEY_BITS}-bit key size limit", file=sys.stderr)
+    return True
+
+
 def cmd_keygen(args) -> int:
     if args.M is not None:
         M = args.M
     elif args.rho is not None:
+        if args.rho < 0:
+            print(f"error: --rho must be >= 0, got {args.rho}", file=sys.stderr)
+            return EXIT_PARAMS
+        if _too_large("--rho", args.rho):
+            return EXIT_PARAMS
         M = 1 << args.rho
     else:
         print("error: need --M or --rho", file=sys.stderr)
@@ -116,7 +152,11 @@ def cmd_keygen(args) -> int:
     seed = _resolve_seed(args.seed)
 
     if args.scheme == "gacd":
-        lam = args.lam if args.lam is not None else gacd.min_lambda(M)
+        lam = args.lam
+        if lam is None:
+            lam = gacd.min_lambda(M) if M >= 2 else 0  # validate_params reports M < 2
+        if _too_large("lambda", lam):
+            return EXIT_PARAMS
         params = gacd.SchemeParams(M=M, lam=lam, n_hint=args.n_hint)
         report = gacd.validate_params(params)
         for w in report.warnings:
@@ -130,6 +170,8 @@ def cmd_keygen(args) -> int:
     else:
         if M & (M - 1):
             print(f"error: scheme {args.scheme} needs a power-of-two M", file=sys.stderr)
+            return EXIT_PARAMS
+        if _too_large("N", (M * M if args.N is None else args.N).bit_length()):
             return EXIT_PARAMS
         sampler = opf.Sampler.BETA if args.scheme == "opf-beta" else opf.Sampler.UNIFORM
         try:
@@ -150,15 +192,16 @@ def cmd_encrypt(args) -> int:
     if args.random is not None:
         pgen = DeterministicGenerator(derive_seed(seed, b"plain"))
         plaintexts = [pgen.uniform_int(0, key.M - 1) for _ in range(args.random)]
-        _write_ints(args.out + ".plain", plaintexts)
+        source = args.out + ".plain"
+        _write_ints(source, plaintexts)
     else:
-        plaintexts = _read_ints(args.infile)
+        source = args.infile
+        plaintexts = _read_ints(source)
 
     try:
         cts = _encrypt_many(key, plaintexts, seed)
     except DATA_ERRORS as exc:
-        print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error(source, exc)
     _write_ints(args.out, cts)
     return EXIT_OK
 
@@ -168,8 +211,7 @@ def cmd_decrypt(args) -> int:
     try:
         out = _decrypt_many(key, _read_ints(args.infile))
     except DATA_ERRORS as exc:
-        print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error(args.infile, exc)
     _write_ints(args.out, out)
     return EXIT_OK
 
@@ -189,8 +231,7 @@ def cmd_sort_verify(args) -> int:
                 print(f"error: plaintext cross-check failed at index {i}", file=sys.stderr)
                 return EXIT_ORDER
         if exc is not None:
-            print(f"error: line {exc.index + 1}: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            return _data_error(args.infile, exc)
 
     t0 = time.perf_counter()
     cts.sort()
@@ -234,20 +275,27 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     sample = analysis.SortedSample(tuple(sorted(cts)), args.M)
     n = sample.n
-    k_hat = analysis.estimate_k(sample)
-    print(f"metric=k_hat value={float(k_hat):.6g} band=0")
+    try:
+        k_hat = float(analysis.estimate_k(sample))
+        if args.challenge is not None:
+            m_hat = float(analysis.window_attack(args.challenge, sample).m_hat)
+    except ZeroDivisionError:
+        print("error: sample maximum is 0, so no challenge estimate", file=sys.stderr)
+        return EXIT_DATA
+    except OverflowError:
+        print("error: an estimate is beyond the float range of the report", file=sys.stderr)
+        return EXIT_DATA
+    print(f"metric=k_hat value={k_hat:.6g} band=0")
     print(
         f"metric=leakage_bits value={analysis.leakage_bits(n):.4f} "
         f"band={analysis.LEAKAGE_BAND_BITS}"
     )
     if args.challenge is not None:
-        est = analysis.window_attack(args.challenge, sample)
-        m_hat = float(est.m_hat)
         print(f"metric=m_hat value={m_hat:.6g} band=0")
         print(f"metric=radius_fail value={m_hat / (2 * n):.6g} band=0")
         print(f"metric=radius_succeed value={m_hat * math.log(2) / n:.6g} band=0")
     if args.bruteforce:
-        k_min, k_max = (int(v) for v in args.bruteforce.split(".."))
+        k_min, k_max = args.bruteforce
         try:
             candidates = analysis.bruteforce_gacd(cts, k_min, k_max)
         except analysis.BudgetExceededError as exc:
@@ -257,6 +305,14 @@ def cmd_analyze(args) -> int:
         for k in candidates:
             print(f"candidate_k={k}")
     return EXIT_OK
+
+
+def _k_range(text):
+    """--bruteforce value: k_min..k_max, two decimal integers."""
+    lo, sep, hi = text.partition("..")
+    if not (sep and lo.isdecimal() and hi.isdecimal()):
+        raise argparse.ArgumentTypeError(f"expected k_min..k_max, got {text!r}")
+    return int(lo), int(hi)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encrypt", help="bulk encrypt newline-separated decimals")
     enc.add_argument("--key", required=True)
-    enc.add_argument("--in", dest="infile")
-    enc.add_argument("--random", type=int, help="generate this many random plaintexts")
+    source = enc.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--random", type=int, help="generate this many random plaintexts")
     enc.add_argument("--seed")
     enc.add_argument("--out", required=True)
     enc.set_defaults(func=cmd_encrypt)
@@ -306,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--in", dest="infile", required=True)
     an.add_argument("--M", type=int, required=True)
     an.add_argument("--challenge", type=int)
-    an.add_argument("--bruteforce", help="k_min..k_max candidate range")
+    an.add_argument("--bruteforce", type=_k_range, help="k_min..k_max candidate range")
     an.set_defaults(func=cmd_analyze)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (gacd.ParameterError, opf.KeyFormatError) as exc:  # bad parameters or key file
         print(f"error: {exc}", file=sys.stderr)
@@ -321,7 +378,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # key, input or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except SystemExit as exc:  # _load_any_key, _resolve_seed, _read_ints
+    except SystemExit as exc:  # argparse, _load_any_key, _resolve_seed, _read_ints
         return int(exc.code)
 
 

@@ -231,10 +231,11 @@ def load_key(path: str) -> SecretKey:
         k = int(fields["k"])
     except (KeyError, ValueError) as exc:
         raise ParameterError(f"malformed key file {path!r}: {exc!r}") from exc
+    # first, so that lambda is bounded by the k the file holds
+    if k < 1 or k.bit_length() != params.lam + 1:
+        raise ParameterError("key k outside [2^lambda, 2^(lambda+1))")
     report = validate_params(params)
     if not report.ok:
         raise ParameterError("; ".join(report.reasons))
-    if not (1 << params.lam) <= k < (1 << (params.lam + 1)):
-        raise ParameterError("key k outside [2^lambda, 2^(lambda+1))")
     lo, hi = _noise_band(k)
     return SecretKey(k=k, noise_lo=lo, noise_hi=hi, params=params)

@@ -83,11 +83,10 @@ def make_opf_key(
     """
     if r_bits < 1:
         raise DomainError("r_bits must be >= 1 (domain [0, 2^r])")
-    M = 1 << r_bits
     if N is None:
-        N = M * M
-    if N < M * M:
-        raise DomainError(f"N={N} below M^2={M * M}")
+        N = 1 << 2 * r_bits
+    elif N < 1 or N.bit_length() <= 2 * r_bits:  # N < M^2, compared without building M
+        raise DomainError(f"N={N} below M^2=2^{2 * r_bits}")
     if N < 5:  # init_endpoints needs 1 <= f(0) < f(M) <= N with f(M) - f(0) > 3N/4
         raise DomainError(f"N={N} leaves no room for the endpoints; need N >= 5")
     if master_seed is None:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,40 @@ class TestFlattenLeakageReport:
         model = flattening.model_from_frequencies([(i + 1) ** 2 for i in range(M)], 1 << 16)
         rep = analysis.flatten_leakage_report(model)
         assert rep.max_bits < 0.5 * math.log2(M)
+
+
+    @staticmethod
+    def fraction_report(model):
+        # the formula on the model's Fraction values, as the report once ran it
+        return [(m, math.log2(float(m * model.p(m) / model.F[m]))) for m in range(1, model.M)]
+
+    @pytest.mark.parametrize("model", [
+        flattening.model_from_frequencies([2**i for i in range(16, 0, -1)], 1 << 16),
+        flattening.uniform_model(16, 1 << 16),
+        flattening.uniform_model(7, 1000),
+    ])
+    def test_equals_fraction_formula(self, model):
+        rep = analysis.flatten_leakage_report(model)
+        expected = self.fraction_report(model)
+        assert list(rep.entries) == expected
+        assert rep.max_bits == max([0.0] + [bits for _, bits in expected])
+
+    def test_linear_in_M(self):
+        # reads the integer numerators only: no Fraction table is built, and
+        # the cost per entry at M = 2^16 stays that of M = 2^12
+        def per_entry_s(M):
+            counts = [int(2.0**40 / (i + 1) ** 1.1) for i in range(M)]
+            model = flattening.model_from_frequencies(counts, 1 << 40)
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                rep = analysis.flatten_leakage_report(model)
+                best = min(best, time.perf_counter() - t0)
+            assert len(rep.entries) == M - 1
+            assert "F" not in vars(model)
+            return best / M
+
+        assert per_entry_s(1 << 16) < 4 * per_entry_s(1 << 12)
 
 
 class TestWindowSuccessRate:

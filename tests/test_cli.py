@@ -1,9 +1,14 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdope import cli, gacd, opf
 from acdope.prng import DeterministicGenerator, seed_from_material
@@ -396,6 +401,173 @@ class TestMalformedInput:
         rc = run("encrypt", "--key", str(key), "--in", str(plain), "--out", str(tmp_path / "c"))
         assert rc == cli.EXIT_PARAMS
         assert "error:" in capsys.readouterr().err
+
+
+    def test_encrypt_needs_exactly_one_source(self, tmp_path, gacd_key, capsys):
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("1\n")
+        out = str(tmp_path / "c")
+        assert run("encrypt", "--key", gacd_key, "--out", out) == cli.EXIT_PARAMS
+        assert run("encrypt", "--key", gacd_key, "--in", plain, "--random", "3",
+                   "--out", out) == cli.EXIT_PARAMS
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "1..2..3", "..", "1..", "-1..5", "1.5..2"])
+    def test_bruteforce_range_is_strict(self, tmp_path, capsys, value):
+        ct = str(tmp_path / "c.txt")
+        with open(ct, "w") as fh:
+            fh.write("5\n9\n")
+        assert run("analyze", "--in", ct, "--M", "128", "--bruteforce", value) == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_value_line_counts_blank_lines(self, tmp_path, gacd_key, capsys):
+        plain = str(tmp_path / "p.txt")
+        with open(plain, "w") as fh:
+            fh.write("1\n\n5\n999\n")
+        rc = run("encrypt", "--key", gacd_key, "--in", plain, "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_DATA
+        assert "error: line 4: plaintext 999" in capsys.readouterr().err
+
+    def test_bad_ciphertext_line_counts_blank_lines(self, tmp_path, gacd_key, capsys):
+        plain, ct = str(tmp_path / "p.txt"), str(tmp_path / "c.txt")
+        with open(plain, "w") as fh:
+            fh.write("42\n")
+        assert run("encrypt", "--key", gacd_key, "--in", plain, "--seed", SEED, "--out", ct) == 0
+        c = int(open(ct).read())
+        foreign = 200 * gacd.load_key(gacd_key).k
+        with open(ct, "w") as fh:
+            fh.write(f"\n{c}\n  \n{foreign}\n")
+        rc = run("decrypt", "--key", gacd_key, "--in", ct, "--out", str(tmp_path / "d"))
+        assert rc == cli.EXIT_DATA
+        assert "error: line 4:" in capsys.readouterr().err
+        with open(plain, "w") as fh:
+            fh.write("42\n0\n")
+        assert run("sort-verify", "--key", gacd_key, "--in", ct, "--plain", plain) == cli.EXIT_DATA
+        assert "error: line 4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("--scheme", "gacd", "--rho", "-1"),
+        ("--scheme", "gacd", "--rho", "0"),
+        ("--scheme", "gacd", "--rho", "9" * 20),
+        ("--scheme", "gacd", "--rho", "100000"),
+        ("--scheme", "gacd", "--rho", "7", "--lambda", "9" * 20),
+        ("--scheme", "gacd", "--M", "9" * 4000),
+        ("--scheme", "opf-uniform", "--rho", "6145"),
+        ("--scheme", "opf-beta", "--rho", "7", "--N", "9" * 4000),
+    ])
+    def test_keygen_out_of_range(self, tmp_path, capsys, args):
+        assert run("keygen", *args, "--out", str(tmp_path / "x.key")) == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "scheme=gacd-ope/1\nlambda=" + "9" * 20 + "\nM=128\nk=524309\n",
+        "scheme=gacd-ope/1\nlambda=100000000\nM=128\nk=524309\n",
+        "scheme=opf/1\nsampler=beta\nr_bits=" + "9" * 20 + "\nN=256\nseed_hex=" + "00" * 32,
+        "scheme=opf/1\nsampler=beta\nr_bits=100000000\nN=256\nseed_hex=" + "00" * 32,
+    ], ids=["gacd-lambda-20-digits", "gacd-lambda-1e8", "opf-r_bits-20-digits", "opf-r_bits-1e8"])
+    def test_key_file_with_huge_sizes(self, tmp_path, capsys, content):
+        key, plain = tmp_path / "bad.key", tmp_path / "p.txt"
+        key.write_text(content)
+        plain.write_text("1\n")
+        rc = run("encrypt", "--key", str(key), "--in", str(plain), "--out", str(tmp_path / "c"))
+        assert rc == cli.EXIT_PARAMS
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, challenge", [
+        ("0\n0\n", "5"),  # k_hat = 0: no challenge estimate
+        ("9" * 400 + "\n", None),  # k_hat beyond the float range
+        ("5\n", "9" * 400),  # m_hat beyond the float range
+    ], ids=["zero-maximum", "huge-sample", "huge-challenge"])
+    def test_analyze_estimates_out_of_range(self, tmp_path, capsys, lines, challenge):
+        ct = tmp_path / "c.txt"
+        ct.write_text(lines)
+        extra = ("--challenge", challenge) if challenge else ()
+        assert run("analyze", "--in", str(ct), "--M", "128", *extra) == cli.EXIT_DATA
+        assert "error:" in capsys.readouterr().err
+
+
+GOOD_KEYS = [
+    "scheme=gacd-ope/1\nlambda=19\nM=128\nk=524309\n",
+    "scheme=opf/1\nsampler=beta\nr_bits=7\nN=1048576\nseed_hex=" + "ab" * 32 + "\n",
+    "scheme=opf/1\nsampler=uniform\nr_bits=7\nN=16384\nseed_hex=" + "cd" * 32 + "\n",
+]
+JUNK_LINES = [
+    "", "  ", "0", "1", "-1", "5", "127", "128", "129", "abc", "1_0", "+5", "5.0", "\r",
+    "9" * 400, "-" + "9" * 300, "=", "lambda=3", "lambda=" + "9" * 20, "M=0", "M=-5",
+    "M=" + "9" * 300, "k=1", "k=" + "7" * 300, "N=0", "N=" + "9" * 4000, "r_bits=0",
+    "r_bits=200", "r_bits=" + "9" * 20, "sampler=x", "seed_hex=00",
+]
+JUNK_ARGS = [
+    "-1", "0", "1", "2", "5", "7", "15", "64", "abc", "", "1.5", "0x10", " 7", "9" * 20,
+    "-" + "9" * 20, "12289", "100000", "9" * 400, "1..2..3", "5..3", "2..9", "..", "1..",
+]
+
+
+def splice_lines(key_and_edits):
+    key, edits = key_and_edits
+    lines = key.split("\n")
+    for pos, line, replace in edits:
+        pos %= len(lines)
+        if replace:
+            lines[pos] = line
+        else:
+            lines.insert(pos, line)
+    return "\n".join(lines).encode()
+
+
+JUNK_FILES = st.one_of(
+    st.sampled_from(GOOD_KEYS).map(str.encode),
+    st.tuples(
+        st.sampled_from(GOOD_KEYS),
+        st.lists(st.tuples(st.integers(0, 5), st.sampled_from(JUNK_LINES), st.booleans()),
+                 min_size=1, max_size=3),
+    ).map(splice_lines),
+    st.lists(st.sampled_from(JUNK_LINES), max_size=6).map(lambda ls: "\n".join(ls).encode()),
+    st.binary(max_size=24),
+)
+# per command, each option's values; KEY, IN and OUT name the junk files.
+# bench is left out: it is a timing run with no input files.
+OPTIONS = {
+    "keygen": {"--scheme": ["gacd", "opf-uniform", "opf-beta", "x"], "--M": JUNK_ARGS,
+               "--rho": JUNK_ARGS, "--lambda": JUNK_ARGS, "--N": JUNK_ARGS,
+               "--n-hint": JUNK_ARGS, "--seed": [SEED, "zz", "", "ab"], "--out": ["OUT"]},
+    "encrypt": {"--key": ["KEY"], "--in": ["IN", "KEY"], "--random": ["0", "5", "-3", "abc"],
+                "--seed": [SEED, "zz"], "--out": ["OUT"]},
+    "decrypt": {"--key": ["KEY"], "--in": ["IN", "KEY"], "--out": ["OUT"]},
+    "sort-verify": {"--key": ["KEY"], "--in": ["IN"], "--plain": ["IN", "KEY"]},
+    "analyze": {"--in": ["IN", "KEY"], "--M": JUNK_ARGS, "--challenge": JUNK_ARGS,
+                "--bruteforce": JUNK_ARGS},
+}
+
+
+@st.composite
+def junk_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for option, values in OPTIONS[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [option, value]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=junk_argv(), key=JUNK_FILES, infile=JUNK_FILES)
+def test_junk_never_ends_in_a_traceback(argv, key, infile):
+    """Any command line over junk key and input files exits with a
+    documented code; a nonzero one comes with an error message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"KEY": os.path.join(tmp, "k.key"), "IN": os.path.join(tmp, "in.txt"),
+                 "OUT": os.path.join(tmp, "out.txt")}
+        Path(paths["KEY"]).write_bytes(key)
+        Path(paths["IN"]).write_bytes(infile)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = cli.main([paths.get(a, a) for a in argv])
+    assert rc in (cli.EXIT_OK, cli.EXIT_PARAMS, cli.EXIT_DATA, cli.EXIT_ORDER)
+    assert rc == cli.EXIT_OK or "error" in err.getvalue()
 
 
 def test_import_does_not_load_scipy():

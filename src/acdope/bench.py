@@ -61,6 +61,7 @@ def _make_ops(scheme: str, rho: int, seed: Seed):
         sampler = opf.Sampler.BETA if scheme == "opf-beta" else opf.Sampler.UNIFORM
         def init():
             key = opf.make_opf_key(rho, sampler, master_seed=derive_seed(seed, b"key"))
+            opf.init_endpoints(key)  # an opf key's set-up; each timed op repeats it
             return (lambda m: opf.opf_encrypt(m, key)), (lambda c: opf.opf_decrypt(c, key))
     return init
 

@@ -28,8 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, exp, factorial, floor, ldexp, log, log1p
 
-import mpmath
-
 EXACT_DEGREE_LIMIT = 128
 
 # Iteration cap of the float Newton, which climbs monotonically and
@@ -203,6 +201,8 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
 
 def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
     """Normal-quantile stand-in for huge shapes; deterministic via mpmath."""
+    import mpmath  # only this path needs it; keeps it out of every CLI start
+
     D = 1 << prec
     if un <= 0:
         return 0

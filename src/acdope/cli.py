@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 import time
-from fractions import Fraction
+from itertools import islice
 
 from . import analysis, bench, gacd, opf
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed, seed_from_material
@@ -238,10 +239,11 @@ def cmd_sort_verify(args) -> int:
     sort_ms = (time.perf_counter() - t0) * 1e3
 
     ms, exc = _decrypt_prefix(key, cts)
-    for i in range(1, len(ms)):
-        if ms[i] < ms[i - 1]:
-            print(f"error: order violation at sorted index {i}", file=sys.stderr)
-            return EXIT_ORDER
+    if not all(map(operator.le, ms, islice(ms, 1, None))):
+        # slow path, taken only to name the first violation
+        i = next(i for i in range(1, len(ms)) if ms[i] < ms[i - 1])
+        print(f"error: order violation at sorted index {i}", file=sys.stderr)
+        return EXIT_ORDER
     if exc is not None:
         print(f"error: sorted index {exc.index}: {exc}", file=sys.stderr)
         return EXIT_DATA

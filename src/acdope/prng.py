@@ -6,6 +6,15 @@ index an 8-byte big-endian counter starting at 0.  Seeds are 32 bytes.  The
 stream is a pure function of the seed, so draws made while encrypting can be
 replayed bit-exactly while decrypting, on any platform.
 
+A generator hashes the stream in runs of consecutive blocks: a refill
+hashes max(blocks the draw needs, min(blocks hashed so far, 64)) blocks.
+The run doubles with use up to 64 blocks (2 KiB), so a short-lived generator
+(one opf frame's single draw) hashes only what it reads, while a long-lived
+one (a noise or plaintext stream) pays the per-block Python overhead once
+per run.  Look-ahead is bounded: after n bytes are read, at most
+min(2*ceil(n/32), ceil(n/32) + 64) blocks have been hashed.  How the stream
+is cut into runs never changes its bytes.
+
 Generators are single-owner.  Independent streams come from child seeds via
 derive_seed(), never from sharing one generator between tasks.
 """
@@ -22,6 +31,8 @@ SEED_BYTES = 32
 STREAM_FORMAT = "sha256-ctr/1"
 
 _BLOCK = hashlib.sha256().digest_size
+#: Longest run of blocks one refill hashes (2 KiB).
+_MAX_RUN = 64
 
 
 class RangeError(ValueError):
@@ -73,33 +84,39 @@ class DeterministicGenerator:
 
     def __init__(self, seed: Seed):
         self._seed = seed.data
-        self._counter = 0
+        self._counter = 0  # blocks hashed so far
         self._buf = b""
         self._pos = 0
 
     def bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while n > 0:
-            if self._pos >= len(self._buf):
-                self._buf = hashlib.sha256(
-                    self._seed + self._counter.to_bytes(8, "big")
-                ).digest()
-                self._counter += 1
-                self._pos = 0
-            take = min(n, len(self._buf) - self._pos)
-            out += self._buf[self._pos : self._pos + take]
-            self._pos += take
-            n -= take
-        return bytes(out)
+        if n <= 0:
+            return b""
+        pos, buf = self._pos, self._buf
+        end = pos + n
+        if end > len(buf):
+            # hash the next run of blocks and keep the unread tail before it
+            start = self._counter
+            run = max(-(-(end - len(buf)) // _BLOCK), min(start, _MAX_RUN))
+            seed, sha256 = self._seed, hashlib.sha256
+            if run == 1:  # a short-lived generator (one opf frame): no comprehension frame
+                blocks = sha256(seed + start.to_bytes(8, "big")).digest()
+            else:
+                blocks = b"".join([
+                    sha256(seed + i.to_bytes(8, "big")).digest()
+                    for i in range(start, start + run)
+                ])
+            buf = self._buf = buf[pos:] + blocks
+            self._counter = start + run
+            pos, end = 0, n
+        self._pos = end
+        return buf[pos:end]
 
     def bits(self, k: int) -> int:
         """Uniform integer in [0, 2^k)."""
         if k <= 0:
             return 0
         nbytes = (k + 7) // 8
-        v = int.from_bytes(self.bytes(nbytes), "big")
-        excess = nbytes * 8 - k
-        return v >> excess
+        return int.from_bytes(self.bytes(nbytes), "big") >> (nbytes * 8 - k)
 
     def uniform_int(self, lo: int, hi: int) -> int:
         """Exactly uniform on [lo, hi] via rejection sampling (no modulo bias)."""

@@ -2,7 +2,7 @@ import statistics
 
 import pytest
 
-from acdope import bench
+from acdope import bench, opf
 
 from conftest import seed_of
 
@@ -26,6 +26,14 @@ class TestBenchScheme:
         assert r.scheme == "gacd" and r.rho == 7 and r.count == 64
         assert r.enc_us_mean > 0 and r.dec_us_mean > 0
         assert len(r.enc_batch_means_us) == 2
+
+    def test_opf_init_includes_endpoints(self, monkeypatch):
+        calls = []
+        init_endpoints = opf.init_endpoints
+        monkeypatch.setattr(opf, "init_endpoints",
+                            lambda key: calls.append(key) or init_endpoints(key))
+        bench._make_ops("opf-uniform", 4, seed_of(74))()
+        assert len(calls) == 1
 
     def test_opf_uniform_runs(self):
         r = bench.bench_scheme("opf-uniform", 4, count=16, repeat=1, seed=seed_of(71))

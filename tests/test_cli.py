@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from acdope import cli, gacd, opf
 from acdope.prng import DeterministicGenerator, seed_from_material
 
+from test_opf import GOLDEN_KEY_SEED, OPF_GOLDEN
+
 SEED = "ab" * 32
 SEED2 = "cd" * 32
 
@@ -205,6 +207,23 @@ class TestSortVerify:
             fh.write("3\n")
         rc = run("sort-verify", "--key", gacd_key, "--in", ct, "--plain", ct + ".plain")
         assert rc == cli.EXIT_ORDER
+
+    def test_order_violation_names_first_index(self, tmp_path, gacd_key, monkeypatch, capsys):
+        # decryption is monotone, so a violation needs a decrypt that is not
+        plain, ct = str(tmp_path / "p.txt"), str(tmp_path / "c.txt")
+        with open(plain, "w") as fh:
+            fh.write("".join(f"{m}\n" for m in range(20)))
+        assert run("encrypt", "--key", gacd_key, "--in", plain, "--seed", SEED, "--out", ct) == 0
+        decrypt_many = cli._decrypt_many
+
+        def swapped(key, cts):
+            ms = decrypt_many(key, cts)
+            ms[5], ms[6] = ms[6], ms[5]
+            return ms
+
+        monkeypatch.setattr(cli, "_decrypt_many", swapped)
+        assert run("sort-verify", "--key", gacd_key, "--in", ct) == cli.EXIT_ORDER
+        assert "error: order violation at sorted index 6\n" in capsys.readouterr().err
 
     def test_single_line(self, tmp_path, gacd_key):
         ct = str(tmp_path / "one.txt")
@@ -570,8 +589,36 @@ def test_junk_never_ends_in_a_traceback(argv, key, infile):
     assert rc == cli.EXIT_OK or "error" in err.getvalue()
 
 
-def test_import_does_not_load_scipy():
+def _fresh_python(code):
+    """Run code in a new interpreter on this checkout's sources."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy():
     code = "import sys, acdope.cli; sys.exit(int('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    assert _fresh_python(code).returncode == 0
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, acdope.cli; sys.exit(int('mpmath' in sys.modules))"
+    assert _fresh_python(code).returncode == 0
+
+
+def test_beta_normal_path_loads_mpmath_on_demand():
+    pairs = OPF_GOLDEN[15]
+    code = (
+        "import sys\n"
+        "from acdope import opf\n"
+        "from acdope.prng import Seed\n"
+        f"seed = Seed(bytes([{GOLDEN_KEY_SEED}]) * 32)\n"
+        "key = opf.make_opf_key(15, opf.Sampler.BETA, master_seed=seed)\n"
+        "before = 'mpmath' in sys.modules\n"
+        f"cts = [opf.opf_encrypt(m, key) for m in {[m for m, _ in pairs]}]\n"
+        "print(before, 'mpmath' in sys.modules, cts)\n"
+    )
+    result = _fresh_python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"False True {[c for _, c in pairs]}"

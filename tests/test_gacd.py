@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdope import gacd
-from acdope.prng import DeterministicGenerator
+from acdope.prng import DeterministicGenerator, derive_seed
 
 from conftest import ForcedGen, gen_of, seed_of
 
@@ -215,6 +216,19 @@ class TestBatch:
         cts = gacd.encrypt_many(ms, key, gen_of(60))
         gen = gen_of(60)
         assert cts == [gacd.encrypt(m, key, gen) for m in ms]
+        assert gacd.decrypt_many(cts, key) == ms
+
+    def test_golden_ciphertexts_rho127(self):
+        # recorded on the generator that hashed one block per pass
+        seed = seed_of(0x47)
+        M = 1 << 127
+        key = gacd.keygen(gacd.SchemeParams(M=M, lam=gacd.min_lambda(M)),
+                          DeterministicGenerator(seed))
+        pgen = DeterministicGenerator(derive_seed(seed, b"plain"))
+        ms = [pgen.uniform_int(0, M - 1) for _ in range(500)]
+        cts = gacd.encrypt_many(ms, key, DeterministicGenerator(derive_seed(seed, b"gacd/noise")))
+        digest = hashlib.sha256("".join(f"{c}\n" for c in cts).encode()).hexdigest()
+        assert digest == "a61bd8a217b169575592016c106c3a43c48a46ea28327466ddc7da072a9e6d4e"
         assert gacd.decrypt_many(cts, key) == ms
 
     def test_failing_position(self):

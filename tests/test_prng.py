@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -131,3 +132,77 @@ class TestUniformFraction:
     def test_invalid_precision(self, fixed_gen):
         with pytest.raises(PrecisionError):
             fixed_gen.uniform_fraction(0)
+
+
+def reference_stream(seed: Seed, nblocks: int) -> bytes:
+    """The sha256-ctr/1 stream, one block at a time."""
+    return b"".join(
+        hashlib.sha256(seed.data + i.to_bytes(8, "big")).digest() for i in range(nblocks)
+    )
+
+
+def draw_mix_digest(g: DeterministicGenerator) -> str:
+    """SHA-256 of a scripted mix of draws: byte counts across block and run
+    boundaries, bit counts, worst-case rejection spans 2^k + 1 and dyadic
+    fractions, three rounds so each starts at a new buffer offset."""
+    h = hashlib.sha256()
+    for _ in range(3):
+        for n in (0, 1, 31, 32, 33, 64, 100, 2100):
+            h.update(g.bytes(n))
+        for k in (0, 1, 7, 8, 9, 64, 340, 2049):
+            h.update(b"%d\n" % g.bits(k))
+        for k in (1, 2, 7, 64, 127, 340):
+            for _ in range(5):
+                h.update(b"%d\n" % g.uniform_int(-3, -3 + (1 << k)))
+        for p in (1, 53, 56, 200):
+            f = g.uniform_fraction(p)
+            h.update(b"%d/%d\n" % (f.numerator, f.denominator))
+    return h.hexdigest()
+
+
+# draw_mix_digest per seed byte, recorded on the generator that hashed one
+# block per pass; the stream and every draw on it must not move.
+STREAM_GOLDEN = {
+    0x00: "48458b7e3d14ffee01d1b6093c70c83558312cab4ac14a201e1af0637603e089",
+    0x3C: "2b33a0ed64a90b4f96a4a94bee5e3d0897f185ba19358ceebf73143bdd1c8964",
+    0xA5: "bbb28445bd6e4d359dadcc4b08d5d835b6bc0c2eb8120009fb2665ab025bc6c7",
+}
+
+
+class TestStreamFormat:
+    @pytest.mark.parametrize("seed_byte", sorted(STREAM_GOLDEN))
+    def test_golden_draw_mix(self, seed_byte):
+        assert draw_mix_digest(gen_of(seed_byte)) == STREAM_GOLDEN[seed_byte]
+
+    @given(
+        sizes=st.lists(st.integers(min_value=-2, max_value=3000), max_size=30),
+        seed_byte=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_cut_reads_the_reference_stream(self, sizes, seed_byte):
+        g = gen_of(seed_byte)
+        got = b"".join(g.bytes(n) for n in sizes)
+        assert got == reference_stream(seed_of(seed_byte), -(-len(got) // 32))[: len(got)]
+
+
+class TestLookAhead:
+    def test_one_frame_draw_hashes_one_block(self):
+        # an opf frame's generator makes one bits(64) draw
+        g = gen_of(11)
+        g.bits(64)
+        assert g._counter == 1
+
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=5000), max_size=60),
+        seed_byte=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_hashed_stay_near_bytes_read(self, sizes, seed_byte):
+        g = gen_of(seed_byte)
+        n = 0
+        for size in sizes:
+            g.bytes(size)
+            n += size
+            needed = -(-n // 32)
+            assert g._counter <= 2 * needed + 1
+            assert g._counter <= needed + 64

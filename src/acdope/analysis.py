@@ -1,11 +1,9 @@
 """Security estimators and desk-scale attack oracles.
 
 Implements the adversary's side of the window one-wayness game (estimate the
-secret multiplier from the sample maximum, then localise a challenge), the
-success-probability law 1 - (1-eps)^n it obeys, leakage accounting, the
-inversion estimate for Boldyreva-style deterministic OPFs, and a brute-force
-approximate-common-divisor search used as a test oracle against deliberately
-weakened keys.
+secret multiplier from the sample maximum, then localise a challenge),
+leakage accounting, and a brute-force approximate-common-divisor search used
+as a test oracle against deliberately weakened keys.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import gacd
+from .errors import ParameterError
 from .prng import DeterministicGenerator, Seed, derive_seed
 
 
@@ -23,7 +22,7 @@ class EmptyInputError(ValueError):
     pass
 
 
-class BudgetExceededError(ValueError):
+class BudgetExceededError(ParameterError):
     pass
 
 
@@ -60,36 +59,15 @@ def window_attack(c: int, sample: SortedSample) -> WindowEstimate:
     return WindowEstimate(m_hat=c / k_hat, k_hat=k_hat)
 
 
-def success_probability(epsilon: Fraction, n: int) -> Fraction:
-    """Exact probability 1 - (1 - eps)^n that the sample maximum lands within
-    relative eps of the top of the range."""
-    epsilon = Fraction(epsilon)
-    if not 0 <= epsilon <= 1:
-        raise gacd.ParameterError("epsilon must lie in [0, 1]")
-    if n < 1:
-        raise gacd.ParameterError("n must be >= 1")
-    return 1 - (1 - epsilon) ** n
-
-
 def leakage_bits(n: int) -> float:
     """Bits of a plaintext leaked by its rank among n sorted ciphertexts:
     lg n, up to an O(1) term reported as a band by callers, never asserted."""
     if n < 1:
-        raise gacd.ParameterError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     return math.log2(n)
 
 
 LEAKAGE_BAND_BITS = 2.0  # reporting band for the O(1) term
-
-
-def bclo_invert_estimate(c: int, M: int, N: int) -> tuple[Fraction, float]:
-    """Inversion estimate for a uniformly random increasing map [0,M]->[1,N]:
-    m_hat = M*c/N with standard deviation ~ sqrt(2*m_hat*(1 - m_hat/M))."""
-    if not 0 <= c <= N:
-        raise gacd.DomainError(f"ciphertext {c} outside [0, {N}]")
-    m_hat = Fraction(M * c, N)
-    sigma = math.sqrt(2 * float(m_hat) * (1 - float(m_hat) / M))
-    return m_hat, sigma
 
 
 BRUTEFORCE_BUDGET = 1 << 24

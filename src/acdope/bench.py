@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import gacd, opf
+from .cli import MAX_KEY_BITS, SCHEMES
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
-
-SCHEMES = ("gacd", "opf-uniform", "opf-beta")
 
 #: Beta-mode distribution parameters outgrow the sampler's supported
 #: precision at rho = 127; the configuration is reported as unsupported.
@@ -42,11 +41,17 @@ class BenchResult:
 
 
 def supported(scheme: str, rho: int) -> bool:
-    if scheme not in SCHEMES:
+    """Whether `acdope keygen` takes scheme at M = 2^rho (opf-beta only up to
+    BETA_MAX_RHO), with the minimal lambda for gacd and N = M^2 for opf."""
+    if scheme not in SCHEMES or not 1 <= rho <= MAX_KEY_BITS:
         return False
     if scheme == "opf-beta" and rho > BETA_MAX_RHO:
         return False
-    return True
+    if scheme == "gacd":
+        M = 1 << rho
+        lam = gacd.min_lambda(M)
+        return lam <= MAX_KEY_BITS and gacd.validate_params(gacd.SchemeParams(M, lam)).ok
+    return rho >= 2 and 2 * rho + 1 <= MAX_KEY_BITS  # make_opf_key needs N = M^2 >= 5
 
 
 def _make_ops(scheme: str, rho: int, seed: Seed):

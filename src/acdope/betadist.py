@@ -24,9 +24,8 @@ vanishes precisely where it is used.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial, floor, ldexp, log, log1p
+from math import comb, exp, floor, ldexp, log, log1p
 
 EXACT_DEGREE_LIMIT = 128
 
@@ -38,39 +37,6 @@ _GUESS_MAX_STEPS = 64
 # Above this many bits, 2^-prec and 2^prec leave the range of a double, and
 # the search falls back to bisection over the grid.
 _FLOAT_PREC_LIMIT = 1000
-
-
-def beta_cdf(x: int, b: int, z: Fraction) -> Fraction:
-    """Exact regularised incomplete beta I_z(x, b) for integer shapes."""
-    if x < 1 or b < 1:
-        raise ValueError("shape parameters must be positive integers")
-    z = Fraction(z)
-    if z <= 0:
-        return Fraction(0)
-    if z >= 1:
-        return Fraction(1)
-    d = x + b - 1
-    p, q = z.numerator, z.denominator
-    pc = q - p  # numerator of 1 - z
-    # running powers: p^j ascending, pc^(d-j) descending
-    a_pow = p**x
-    b_pow = pc ** (d - x)
-    total = 0
-    for j in range(x, d + 1):
-        total += comb(d, j) * a_pow * b_pow
-        if j < d:
-            a_pow *= p
-            b_pow //= pc
-    return Fraction(total, q**d)
-
-
-def beta_pdf(x: int, b: int, z: Fraction) -> Fraction:
-    """Exact Beta(x, b) density at rational z."""
-    z = Fraction(z)
-    if not 0 < z < 1:
-        return Fraction(0)
-    inv_beta = Fraction(factorial(x + b - 1), factorial(x - 1) * factorial(b - 1))
-    return inv_beta * z ** (x - 1) * (1 - z) ** (b - 1)
 
 
 @lru_cache(maxsize=EXACT_DEGREE_LIMIT)
@@ -229,8 +195,3 @@ def beta_icdf_bits(x: int, b: int, un: int, prec: int) -> int:
         return _icdf_exact(x, b, un, prec)
     return _icdf_normal(x, b, un, prec)
 
-
-def draw(gen, x: int, b: int, prec: int) -> Fraction:
-    """One Beta(x, b) variate at prec dyadic fractional bits."""
-    un = gen.bits(prec)
-    return Fraction(beta_icdf_bits(x, b, un, prec), 1 << prec)

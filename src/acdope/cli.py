@@ -16,7 +16,8 @@ import sys
 import time
 from itertools import islice
 
-from . import analysis, bench, gacd, opf
+from . import gacd, keyfile, opf
+from .errors import DomainError, ParameterError
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed, seed_from_material
 
 EXIT_OK = 0
@@ -30,6 +31,9 @@ SEED_ENV = "OPE_SEED_HEX"
 #: quick to check, and their decimal key files within the 4300 digits Python
 #: converts between int and str by default.
 MAX_KEY_BITS = 12288
+
+#: The scheme names that keygen and bench take.
+SCHEMES = ("gacd", "opf-uniform", "opf-beta")
 
 
 def _resolve_seed(arg_seed):
@@ -45,20 +49,12 @@ def _resolve_seed(arg_seed):
 
 
 def _load_any_key(path):
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        first = fh.readline().strip()
-    if first == f"scheme={gacd.KEY_FILE_SCHEME}":
-        return gacd.load_key(path)
-    if first == f"scheme={opf.KEY_FILE_SCHEME}":
-        return opf.load_key(path)
-    print(f"error: unrecognised key file {path!r}", file=sys.stderr)
-    raise SystemExit(EXIT_PARAMS)
-
-
-#: What a batch call raises on a bad value; each carries the value's
-#: position in the batch as `index`.
-DATA_ERRORS = (gacd.DomainError, gacd.ForeignCiphertextError,
-               opf.DomainError, opf.NotACiphertextError)
+    tag, fields = keyfile.read(path)
+    if tag == gacd.KEY_FILE_SCHEME:
+        return gacd.key_from_fields(fields, path)
+    if tag == opf.KEY_FILE_SCHEME:
+        return opf.key_from_fields(fields, path)
+    raise keyfile.KeyFormatError(f"unrecognised key file {path!r}")
 
 
 def _encrypt_many(key, plaintexts, seed):
@@ -80,7 +76,7 @@ def _decrypt_prefix(key, cts):
     that failure (None if every one decrypts)."""
     try:
         return _decrypt_many(key, cts), None
-    except DATA_ERRORS as exc:
+    except DomainError as exc:  # a batch call's error carries the bad value's `index`
         return _decrypt_many(key, cts[:exc.index]), exc
 
 
@@ -201,7 +197,7 @@ def cmd_encrypt(args) -> int:
 
     try:
         cts = _encrypt_many(key, plaintexts, seed)
-    except DATA_ERRORS as exc:
+    except DomainError as exc:
         return _data_error(source, exc)
     _write_ints(args.out, cts)
     return EXIT_OK
@@ -211,7 +207,7 @@ def cmd_decrypt(args) -> int:
     key = _load_any_key(args.key)
     try:
         out = _decrypt_many(key, _read_ints(args.infile))
-    except DATA_ERRORS as exc:
+    except DomainError as exc:
         return _data_error(args.infile, exc)
     _write_ints(args.out, out)
     return EXIT_OK
@@ -252,6 +248,8 @@ def cmd_sort_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench  # only this command needs it; keeps it out of every CLI start
+
     seed = _resolve_seed(args.seed)
     results = []
     for scheme in args.schemes:
@@ -268,6 +266,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # only this command needs it; keeps it out of every CLI start
+
     if args.M < 1:
         print(f"error: --M must be positive, got {args.M}", file=sys.stderr)
         return EXIT_PARAMS
@@ -298,11 +298,7 @@ def cmd_analyze(args) -> int:
         print(f"metric=radius_succeed value={m_hat * math.log(2) / n:.6g} band=0")
     if args.bruteforce:
         k_min, k_max = args.bruteforce
-        try:
-            candidates = analysis.bruteforce_gacd(cts, k_min, k_max)
-        except analysis.BudgetExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARAMS
+        candidates = analysis.bruteforce_gacd(cts, k_min, k_max)
         print(f"metric=bruteforce_candidates value={len(candidates)} band=0")
         for k in candidates:
             print(f"candidate_k={k}")
@@ -317,12 +313,23 @@ def _k_range(text):
     return int(lo), int(hi)
 
 
+def _positive_int(text):
+    """--count and --repeat value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="acdope", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     kg = sub.add_parser("keygen", help="generate a key file")
-    kg.add_argument("--scheme", choices=("gacd", "opf-uniform", "opf-beta"), required=True)
+    kg.add_argument("--scheme", choices=SCHEMES, required=True)
     kg.add_argument("--M", type=int)
     kg.add_argument("--rho", type=int, help="plaintext bit length; M = 2^rho")
     kg.add_argument("--lambda", dest="lam", type=int)
@@ -354,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=cmd_sort_verify)
 
     bn = sub.add_parser("bench", help="timing comparison across schemes")
-    bn.add_argument("--schemes", nargs="+", default=list(bench.SCHEMES))
+    bn.add_argument("--schemes", nargs="+", default=list(SCHEMES))
     bn.add_argument("--rho", nargs="+", type=int, default=[7, 15, 31, 63, 127])
-    bn.add_argument("--count", type=int, default=10_000)
-    bn.add_argument("--repeat", type=int, default=5)
+    bn.add_argument("--count", type=_positive_int, default=10_000)
+    bn.add_argument("--repeat", type=_positive_int, default=5)
     bn.add_argument("--seed")
     bn.set_defaults(func=cmd_bench)
 
@@ -374,13 +381,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (gacd.ParameterError, opf.KeyFormatError) as exc:  # bad parameters or key file
+    except (ParameterError, OSError) as exc:  # bad parameters; key, input or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except OSError as exc:  # key, input or output file
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except SystemExit as exc:  # argparse, _load_any_key, _resolve_seed, _read_ints
+        return EXIT_DATA
+    except SystemExit as exc:  # argparse, _resolve_seed, _read_ints
         return int(exc.code)
 
 

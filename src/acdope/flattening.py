@@ -1,4 +1,4 @@
-"""Distribution flattening and hybrid monotone-map composition.
+"""Distribution flattening.
 
 Flattening maps a plaintext m with known distribution function F to
 mbar = floor(N * F(x)) where F is interpolated linearly between F(m) and
@@ -23,21 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import gacd
+from .errors import DomainError
 from .prng import DeterministicGenerator
-
-CDF_FILE_FORMAT = "cdf/1"
 
 #: Extra dyadic bits for u beyond lg N; truncation then moves the
 #: interpolated value across an integer boundary with probability < 2^-16,
 #: and such draws are rejected and redrawn.
 _U_GUARD_BITS = 16
-
-
-class DomainError(ValueError):
-    pass
 
 
 class ModelError(ValueError):
@@ -144,90 +138,3 @@ def unflatten(mbar: int, model: CdfModel) -> int:
         raise DomainError(f"flattened value {mbar} outside [0, {model.N})")
     m = bisect_right(model.A, mbar * model.Q // model.N) - 1
     return min(m, model.M - 1)
-
-
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A strictly increasing integer map with its left inverse."""
-
-    forward: Callable[[int], int]
-    inverse: Callable[[int], int]
-
-
-def identity_map() -> MonotoneMap:
-    return MonotoneMap(forward=lambda m: m, inverse=lambda v: v)
-
-
-def shift_map(a0: int) -> MonotoneMap:
-    return MonotoneMap(forward=lambda m: m + a0, inverse=lambda v: v - a0)
-
-
-def table_map(values: Sequence[int]) -> MonotoneMap:
-    """Map m -> values[m] for a strictly increasing table (e.g. a cached
-    order-preserving function)."""
-    vals = list(values)
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise DomainError("table is not strictly increasing")
-    index = {v: i for i, v in enumerate(vals)}
-
-    def inv(v: int) -> int:
-        try:
-            return index[v]
-        except KeyError:
-            raise gacd.ForeignCiphertextError(f"{v} not in the map's image") from None
-
-    return MonotoneMap(forward=lambda m: vals[m], inverse=inv)
-
-
-def hybrid_encrypt(
-    m: int, mmap: MonotoneMap, key: gacd.SecretKey, gen: DeterministicGenerator
-) -> gacd.Ciphertext:
-    """c = f(m)*k + r: compose any increasing map with the GACD scheme."""
-    fm = mmap.forward(m)
-    if not 0 <= fm <= key.params.M:
-        raise DomainError(f"mapped value {fm} outside the key's domain [0, {key.params.M}]")
-    return gacd.encrypt(fm, key, gen)
-
-
-def hybrid_decrypt(c: gacd.Ciphertext, mmap: MonotoneMap, key: gacd.SecretKey) -> int:
-    return mmap.inverse(gacd.decrypt(c, key))
-
-
-def save_cdf_model(model: CdfModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{CDF_FILE_FORMAT} M={model.M} N={model.N}\n")
-        for v in model.F:
-            fh.write(f"{v.numerator}/{v.denominator}\n")
-
-
-def load_cdf_model(path: str) -> CdfModel:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != CDF_FILE_FORMAT:
-            raise ModelError("bad CDF file header")
-        M = int(header[1].removeprefix("M="))
-        N = int(header[2].removeprefix("N="))
-        F = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            num, den = line.split("/")
-            F.append(Fraction(int(num), int(den)))
-    return CdfModel(M, N, tuple(F))
-
-
-def load_frequencies(path: str, M: int) -> list:
-    """Read newline-separated "<value> <count>" pairs into a count table."""
-    counts = [0] * M
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            value, count = line.split()
-            v = int(value)
-            if not 0 <= v < M:
-                raise DomainError(f"frequency value {v} outside [0, {M})")
-            counts[v] += int(count)
-    return counts

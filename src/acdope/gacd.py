@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import keyfile
+from .errors import DomainError, ParameterError
 from .prng import DeterministicGenerator
 
 KEY_FILE_SCHEME = "gacd-ope/1"
@@ -24,15 +26,7 @@ KEY_FILE_SCHEME = "gacd-ope/1"
 Ciphertext = int
 
 
-class ParameterError(ValueError):
-    """Scheme parameters violate the security constraints."""
-
-
-class DomainError(ValueError):
-    """Plaintext outside [0, M]."""
-
-
-class ForeignCiphertextError(ValueError):
+class ForeignCiphertextError(DomainError):
     """Ciphertext decrypts outside the plaintext domain for this key."""
 
 
@@ -203,29 +197,20 @@ def decrypt_many(cs: list, key: SecretKey) -> list:
     return out
 
 
-def noise_entropy_bits(key: SecretKey) -> float:
-    """lg of the noise-band size: entropy added to each ciphertext."""
-    return math.log2(key.noise_hi - key.noise_lo + 1)
-
-
 def save_key(key: SecretKey, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"scheme={KEY_FILE_SCHEME}\n")
-        fh.write(f"lambda={key.params.lam}\n")
-        fh.write(f"M={key.params.M}\n")
-        fh.write(f"k={key.k}\n")
+    keyfile.write(path, KEY_FILE_SCHEME,
+                  {"lambda": key.params.lam, "M": key.params.M, "k": key.k})
 
 
 def load_key(path: str) -> SecretKey:
     """Read a key file; a malformed file or a key that fails validate_params
     raises ParameterError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            fields = dict(ln.strip().split("=", 1) for ln in fh if ln.strip())
-    except ValueError as exc:  # a line without '=', or bytes that are not UTF-8
-        raise ParameterError(f"malformed key file {path!r}: {exc}") from exc
-    if fields.get("scheme") != KEY_FILE_SCHEME:
-        raise ParameterError(f"unexpected key file scheme: {fields.get('scheme')!r}")
+    return key_from_fields(keyfile.read_scheme(path, KEY_FILE_SCHEME), path)
+
+
+def key_from_fields(fields: dict, path: str) -> SecretKey:
+    """The key that a gacd key file's fields hold, checked as keygen checks
+    a generated one; path names the file in errors."""
     try:
         params = SchemeParams(M=int(fields["M"]), lam=int(fields["lambda"]))
         k = int(fields["k"])

@@ -23,11 +23,11 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 from typing import Optional
 
-from . import betadist
+from . import betadist, keyfile
+from .errors import DomainError
+from .keyfile import KeyFormatError
 from .prng import DeterministicGenerator, Seed, fresh_seed
 
 KEY_FILE_SCHEME = "opf/1"
@@ -38,16 +38,8 @@ class Sampler(enum.Enum):
     BETA = "beta"
 
 
-class DomainError(ValueError):
-    """Plaintext outside [0, M] or ciphertext outside [1, N]."""
-
-
-class NotACiphertextError(ValueError):
+class NotACiphertextError(DomainError):
     """Value is not in the image of this key's order-preserving function."""
-
-
-class KeyFormatError(ValueError):
-    pass
 
 
 #: Number of beta-mode midpoint draws clamped into [y/4, 3y/4] so far.
@@ -328,7 +320,7 @@ def opf_decrypt_many(cs: list, key: OpfKey) -> list:
             continue  # cannot be the first failure in input order
         try:
             out[i] = decrypt(cs[i])
-        except (DomainError, NotACiphertextError) as exc:
+        except DomainError as exc:
             exc.index = i
             failure = exc
     if failure is not None:
@@ -336,36 +328,22 @@ def opf_decrypt_many(cs: list, key: OpfKey) -> list:
     return out
 
 
-def eq1_pmf(x: int, a: int, y: int, b: int) -> Fraction:
-    """Reference pmf of the x-th smallest of a uniform draws on [0, b]
-    landing at y; exact rational.  Used to sanity-check samplers, never in
-    the encryption path (it is the continuum-limit discretisation and only
-    approximately normalised for small b)."""
-    if not (1 <= x <= a and 0 <= y <= b and b >= 1):
-        raise DomainError("need 1 <= x <= a, 0 <= y <= b, b >= 1")
-    coeff = Fraction(comb(a, x) * x)  # a! / ((x-1)! (a-x)!)
-    return coeff * Fraction(y, b) ** (x - 1) * Fraction(1, b) * Fraction(b - y, b) ** (a - x)
-
-
 def save_key(key: OpfKey, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"scheme={KEY_FILE_SCHEME}\n")
-        fh.write(f"sampler={key.sampler.value}\n")
-        fh.write(f"r_bits={key.r_bits}\n")
-        fh.write(f"N={key.N}\n")
-        fh.write(f"seed_hex={key.master_seed.hex()}\n")
+    keyfile.write(path, KEY_FILE_SCHEME, {
+        "sampler": key.sampler.value, "r_bits": key.r_bits, "N": key.N,
+        "seed_hex": key.master_seed.hex(),
+    })
 
 
 def load_key(path: str) -> OpfKey:
     """Read a key file; a malformed file or parameters that make_opf_key
     rejects raise KeyFormatError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            fields = dict(ln.strip().split("=", 1) for ln in fh if ln.strip())
-    except ValueError as exc:  # a line without '=', or bytes that are not UTF-8
-        raise KeyFormatError(f"malformed key file {path!r}: {exc}") from exc
-    if fields.get("scheme") != KEY_FILE_SCHEME:
-        raise KeyFormatError(f"unexpected key file scheme: {fields.get('scheme')!r}")
+    return key_from_fields(keyfile.read_scheme(path, KEY_FILE_SCHEME), path)
+
+
+def key_from_fields(fields: dict, path: str) -> OpfKey:
+    """The key that an opf key file's fields hold, checked as make_opf_key
+    checks a new one; path names the file in errors."""
     try:
         return make_opf_key(
             r_bits=int(fields["r_bits"]),

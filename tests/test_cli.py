@@ -1,5 +1,7 @@
+import importlib
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdope import cli, gacd, opf
+import acdope
+from acdope import cli, errors, gacd, opf
 from acdope.prng import DeterministicGenerator, seed_from_material
 
-from test_opf import GOLDEN_KEY_SEED, OPF_GOLDEN
+from test_opf import GOLDEN_KEY_SEED, MALFORMED_KEY_FILES, OPF_GOLDEN
 
 SEED = "ab" * 32
 SEED2 = "cd" * 32
@@ -305,6 +308,28 @@ class TestBench:
         err = capsys.readouterr().err
         assert "skipping opf-beta at rho=127" in err
 
+    @pytest.mark.parametrize("args, skipped", [
+        ("--count 0", None),
+        ("--count -3", None),
+        ("--repeat 0", None),
+        ("--rho -1", "gacd at rho=-1"),
+        ("--rho 0", "gacd at rho=0"),
+        ("--rho 1", "gacd at rho=1"),  # empty noise band
+        ("--rho 4608", "gacd at rho=4608"),  # lambda above MAX_KEY_BITS
+        ("--rho 12289", "gacd at rho=12289"),  # rho above MAX_KEY_BITS
+        ("--rho 1 --schemes opf-uniform", "opf-uniform at rho=1"),  # N = 4
+    ])
+    def test_rejected_values(self, capsys, args, skipped):
+        # a bad --count or --repeat exits 2; a rho keygen rejects is skipped
+        rc = run("bench", "--schemes", "gacd", "--rho", "7", "--count", "16",
+                 "--repeat", "1", "--seed", SEED, *args.split())
+        err = capsys.readouterr().err
+        if skipped is None:
+            assert rc == cli.EXIT_PARAMS and "error:" in err
+        else:
+            assert rc == cli.EXIT_OK
+            assert f"warning: skipping {skipped} (unsupported)" in err
+
 
 class TestAnalyze:
     def make_sample(self, tmp_path, gacd_key, n=400):
@@ -345,6 +370,25 @@ class TestAnalyze:
         ct = str(tmp_path / "empty.txt")
         open(ct, "w").close()
         assert run("analyze", "--in", ct, "--M", "128") == cli.EXIT_DATA
+
+
+DAMAGED_KEY_FILES = [
+    b"scheme=gacd-ope/1\nM=128\nk=600000\n",  # no lambda
+    b"scheme=gacd-ope/1\nlambda=3\nM=128\nk=9\n",  # fails validate_params
+    b"scheme=gacd-ope/1\nlambda=3\nM=2\nk=9\n",  # empty noise band
+    b"scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
+    b"scheme=opf/1\nsampler=uniform\nr_bits=1\nN=4\nseed_hex=" + b"00" * 32 + b"\n",
+    b"\xff\xfe\x00scheme",  # not UTF-8
+    b"scheme=gacd-ope/1\nlambda=19\nM=128\nk=\xff\n",  # not UTF-8 after the tag
+]
+HUGE_KEY_FILES = {
+    "gacd-lambda-20-digits": "scheme=gacd-ope/1\nlambda=" + "9" * 20 + "\nM=128\nk=524309\n",
+    "gacd-lambda-1e8": "scheme=gacd-ope/1\nlambda=100000000\nM=128\nk=524309\n",
+    "opf-r_bits-20-digits":
+        "scheme=opf/1\nsampler=beta\nr_bits=" + "9" * 20 + "\nN=256\nseed_hex=" + "00" * 32,
+    "opf-r_bits-1e8":
+        "scheme=opf/1\nsampler=beta\nr_bits=100000000\nN=256\nseed_hex=" + "00" * 32,
+}
 
 
 class TestMalformedInput:
@@ -404,15 +448,7 @@ class TestMalformedInput:
                    "--out", str(tmp_path / "x.key")) == cli.EXIT_PARAMS
         assert "noise band" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [
-        b"scheme=gacd-ope/1\nM=128\nk=600000\n",  # no lambda
-        b"scheme=gacd-ope/1\nlambda=3\nM=128\nk=9\n",  # fails validate_params
-        b"scheme=gacd-ope/1\nlambda=3\nM=2\nk=9\n",  # empty noise band
-        b"scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
-        b"scheme=opf/1\nsampler=uniform\nr_bits=1\nN=4\nseed_hex=" + b"00" * 32 + b"\n",
-        b"\xff\xfe\x00scheme",  # not UTF-8
-        b"scheme=gacd-ope/1\nlambda=19\nM=128\nk=\xff\n",  # not UTF-8 after the tag
-    ])
+    @pytest.mark.parametrize("content", DAMAGED_KEY_FILES)
     def test_damaged_key_file(self, tmp_path, capsys, content):
         key, plain = tmp_path / "bad.key", tmp_path / "p.txt"
         key.write_bytes(content)
@@ -480,12 +516,7 @@ class TestMalformedInput:
         assert run("keygen", *args, "--out", str(tmp_path / "x.key")) == cli.EXIT_PARAMS
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", [
-        "scheme=gacd-ope/1\nlambda=" + "9" * 20 + "\nM=128\nk=524309\n",
-        "scheme=gacd-ope/1\nlambda=100000000\nM=128\nk=524309\n",
-        "scheme=opf/1\nsampler=beta\nr_bits=" + "9" * 20 + "\nN=256\nseed_hex=" + "00" * 32,
-        "scheme=opf/1\nsampler=beta\nr_bits=100000000\nN=256\nseed_hex=" + "00" * 32,
-    ], ids=["gacd-lambda-20-digits", "gacd-lambda-1e8", "opf-r_bits-20-digits", "opf-r_bits-1e8"])
+    @pytest.mark.parametrize("content", HUGE_KEY_FILES.values(), ids=HUGE_KEY_FILES.keys())
     def test_key_file_with_huge_sizes(self, tmp_path, capsys, content):
         key, plain = tmp_path / "bad.key", tmp_path / "p.txt"
         key.write_text(content)
@@ -589,22 +620,24 @@ def test_junk_never_ends_in_a_traceback(argv, key, infile):
     assert rc == cli.EXIT_OK or "error" in err.getvalue()
 
 
-def _fresh_python(code):
-    """Run code in a new interpreter on this checkout's sources."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh_python(*args):
+    """Run python with args in a new interpreter on this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, timeout=60,
                           capture_output=True, text=True)
 
 
 def test_import_does_not_load_scipy():
     code = "import sys, acdope.cli; sys.exit(int('scipy' in sys.modules))"
-    assert _fresh_python(code).returncode == 0
+    assert _fresh_python("-c", code).returncode == 0
 
 
 def test_import_does_not_load_mpmath():
     code = "import sys, acdope.cli; sys.exit(int('mpmath' in sys.modules))"
-    assert _fresh_python(code).returncode == 0
+    assert _fresh_python("-c", code).returncode == 0
 
 
 def test_beta_normal_path_loads_mpmath_on_demand():
@@ -619,6 +652,73 @@ def test_beta_normal_path_loads_mpmath_on_demand():
         f"cts = [opf.opf_encrypt(m, key) for m in {[m for m, _ in pairs]}]\n"
         "print(before, 'mpmath' in sys.modules, cts)\n"
     )
-    result = _fresh_python(code)
+    result = _fresh_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == f"False True {[c for _, c in pairs]}"
+
+
+def test_import_does_not_load_analyze_or_bench_modules():
+    code = ("import sys, acdope.cli; print([m for m in "
+            "('acdope.analysis', 'acdope.bench', 'statistics') if m in sys.modules])")
+    result = _fresh_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_window_experiment_script_runs():
+    result = _fresh_python(str(ROOT / "scripts" / "window_experiment.py"), "--M-bits", "8",
+                           "--lam", "25", "--trials", "2", "--n", "10")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0].split() == ["n", "succeed_radius", "fail_radius"]
+
+
+def _exception_classes():
+    """Every exception class that an acdope module defines."""
+    for info in pkgutil.iter_modules(acdope.__path__):
+        module = importlib.import_module(f"acdope.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                yield obj
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__qualname__)
+def test_exception_contract(monkeypatch, capsys, cls):
+    # perfbench counts a ValueError as a failed op; anything else aborts a run
+    assert issubclass(cls, ValueError)
+    if issubclass(cls, errors.ParameterError):
+        expected = cli.EXIT_PARAMS
+    elif issubclass(cls, errors.DomainError):
+        expected = cli.EXIT_DATA
+    else:
+        return
+
+    def fail(args):
+        raise cls("bad value")
+
+    monkeypatch.setattr(cli, "cmd_decrypt", fail)
+    assert run("decrypt", "--key", "k", "--in", "c", "--out", "d") == expected
+    assert capsys.readouterr().err == "error: bad value\n"
+
+
+KEY_FILES = [
+    *DAMAGED_KEY_FILES,
+    *(text.encode() for text in HUGE_KEY_FILES.values()),
+    *(text.encode() for text in MALFORMED_KEY_FILES),
+    b"lambda=19\nM=128\nscheme=gacd-ope/1\nk=524309\n",
+    b"sampler=beta\nr_bits=7\nN=1048576\nscheme=opf/1\nseed_hex=" + b"ab" * 32 + b"\n",
+]
+
+
+@pytest.mark.parametrize("content", KEY_FILES)
+def test_cli_and_load_key_accept_the_same_key_files(tmp_path, content):
+    path = tmp_path / "k.key"
+    path.write_bytes(content)
+    load_key = opf.load_key if b"scheme=opf/" in content else gacd.load_key
+    keys = []
+    for load in (load_key, cli._load_any_key):
+        try:
+            keys.append(load(path))
+        except errors.ParameterError:
+            keys.append(None)
+    assert keys[0] == keys[1]

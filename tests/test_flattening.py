@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from scipy.stats import chisquare
 
-from acdope import flattening, gacd, opf
+from acdope import flattening
 from acdope.flattening import CdfModel, model_from_frequencies, uniform_model
 
-from conftest import ForcedGen, gen_of, seed_of
+from conftest import ForcedGen, gen_of
 
 
 def skewed_model(M=16, N=1 << 16):
@@ -161,94 +161,6 @@ class TestNearUniformity:
         assert chisquare(bins).pvalue > 0.001
 
 
-class TestMonotoneMaps:
-    def test_identity(self):
-        mm = flattening.identity_map()
-        assert mm.forward(9) == 9 and mm.inverse(9) == 9
-
-    def test_shift(self):
-        mm = flattening.shift_map(5)
-        assert mm.forward(3) == 8 and mm.inverse(8) == 3
-
-    def test_table_roundtrip(self):
-        mm = flattening.table_map([4, 9, 11, 300])
-        assert mm.forward(2) == 11
-        assert mm.inverse(300) == 3
-
-    def test_table_rejects_nonincreasing(self):
-        with pytest.raises(flattening.DomainError):
-            flattening.table_map([4, 4, 9])
-
-    def test_table_foreign_value(self):
-        mm = flattening.table_map([4, 9, 11])
-        with pytest.raises(gacd.ForeignCiphertextError):
-            mm.inverse(10)
-
-
-def worked_gacd_key(M=2**7):
-    lo, hi = gacd._noise_band(524309)
-    return gacd.SecretKey(
-        k=524309, noise_lo=lo, noise_hi=hi, params=gacd.SchemeParams(M=M, lam=19)
-    )
-
-
-class TestHybrid:
-    def test_shift_worked_example(self):
-        # f(3) = 8 under shift +5, then 8 * 524309 + 100000
-        key = worked_gacd_key()
-        mm = flattening.shift_map(5)
-        c = flattening.hybrid_encrypt(3, mm, key, ForcedGen(forced_int=100_000))
-        assert c == 4_294_472
-        assert flattening.hybrid_decrypt(c, mm, key) == 3
-
-    def test_mapped_value_outside_domain(self):
-        key = worked_gacd_key()
-        with pytest.raises(flattening.DomainError):
-            flattening.hybrid_encrypt(125, flattening.shift_map(5), key, gen_of(56))
-
-    def test_opf_table_composition(self):
-        # cache a small deterministic OPF as the monotone map, then wrap it
-        # in the randomised outer layer
-        okey = opf.make_opf_key(5, opf.Sampler.BETA, master_seed=seed_of(12))
-        table = [opf.opf_encrypt(m, okey) for m in range(okey.M + 1)]
-        mm = flattening.table_map(table)
-        params = gacd.SchemeParams(M=okey.N, lam=gacd.min_lambda(okey.N))
-        key = gacd.keygen(params, gen_of(57))
-        g = gen_of(58)
-        for m in range(okey.M + 1):
-            c = flattening.hybrid_encrypt(m, mm, key, g)
-            assert flattening.hybrid_decrypt(c, mm, key) == m
-
-
-class TestFiles:
-    def test_cdf_roundtrip(self, tmp_path):
-        model = skewed_model()
-        path = str(tmp_path / "model.cdf")
-        flattening.save_cdf_model(model, path)
-        loaded = flattening.load_cdf_model(path)
-        assert loaded == model
-
-    def test_cdf_bad_header(self, tmp_path):
-        path = str(tmp_path / "bad.cdf")
-        with open(path, "w") as fh:
-            fh.write("nope M=2 N=16\n0/1\n1/2\n1/1\n")
-        with pytest.raises(flattening.ModelError):
-            flattening.load_cdf_model(path)
-
-    def test_load_frequencies(self, tmp_path):
-        path = str(tmp_path / "freq.txt")
-        with open(path, "w") as fh:
-            fh.write("0 10\n2 5\n0 1\n\n")
-        assert flattening.load_frequencies(path, 4) == [11, 0, 5, 0]
-
-    def test_load_frequencies_out_of_range(self, tmp_path):
-        path = str(tmp_path / "freq.txt")
-        with open(path, "w") as fh:
-            fh.write("7 1\n")
-        with pytest.raises(flattening.DomainError):
-            flattening.load_frequencies(path, 4)
-
-
 class CountingGen(ForcedGen):
     """ForcedGen that counts the u draws, i.e. one plus the redraws."""
 
@@ -290,13 +202,6 @@ class TestGoldenVectors:
         "odd": ([0, 184, 185, 296, 297, 297, 298, 629, 630, 666, 667, 925, 926, 999],
                 [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]),
     }
-    CDF_SHA256 = {
-        "uniform": "638cc8515a99ae263ece1476d390bbbe641a5593ce7be536200c8611079d3a12",
-        "skewed": "edbe5a2b655447104bb67d51e16dee5f661b33c59953066d741800a4bad6502d",
-        "odd": "4ab4d916bb7ef436f0da7718d61b0007f65b24085da3cf9382a36ab712f32bc8",
-        "zipf": "3a7077f57d27a82e1cd32b051e1f05c9bb1184019f3d0c4aeb0dfef6bfd26183",
-    }
-
     @staticmethod
     def model(name):
         return {"uniform": lambda: uniform_model(4, 16), "skewed": skewed_model,
@@ -351,20 +256,3 @@ class TestGoldenVectors:
         g = CountingGen(Fraction(j, 1 << flattening.u_precision_bits(model)))
         assert flattening.flatten(m, model, g) == out
         assert g.draws == draws
-
-    @pytest.mark.parametrize("name", ["uniform", "skewed", "odd", "zipf"])
-    def test_cdf_file_bytes(self, name, tmp_path, zipf):
-        model = zipf if name == "zipf" else self.model(name)
-        path = tmp_path / "model.cdf"
-        flattening.save_cdf_model(model, str(path))
-        data = path.read_bytes()
-        assert hashlib.sha256(data).hexdigest() == self.CDF_SHA256[name]
-        assert flattening.load_cdf_model(str(path)) == model
-
-    def test_cdf_file_text(self, tmp_path):
-        path = tmp_path / "model.cdf"
-        flattening.save_cdf_model(odd_model(), str(path))
-        assert path.read_text() == (
-            "cdf/1 M=7 N=1000\n0/1\n208/1125\n1333/4500\n107/360\n5663/9000\n"
-            "667/1000\n8329/9000\n1/1\n"
-        )

@@ -203,11 +203,6 @@ class TestEncryptDecrypt:
         for m in (0, 1, 64, 127, 128):
             assert gacd.encrypt(m, key, g).bit_length() <= bound
 
-    def test_entropy_report(self):
-        key = small_key()
-        bits = gacd.noise_entropy_bits(key)
-        assert 18.0 < bits < 20.0  # ~ lambda - small correction at lambda=19
-
 
 class TestBatch:
     def test_matches_single_ops_and_noise_order(self):

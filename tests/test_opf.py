@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,25 +360,13 @@ class TestCollapsedSubrange:
         assert opf._midpoint_value(key, frame, 64) == 10
 
 
-class TestEq1Pmf:
-    def test_single_draw_half(self):
-        # one uniform draw on [0, 2]: pmf is flat at 1/b
-        assert opf.eq1_pmf(1, 1, 0, 2) == Fraction(1, 2)
-        assert opf.eq1_pmf(1, 1, 1, 2) == Fraction(1, 2)
-
-    def test_min_of_two(self):
-        # min of 2 draws on [0, 4] at y=1: 2 * (1/4) * (3/4)
-        assert opf.eq1_pmf(1, 2, 1, 4) == Fraction(3, 8)
-
-    def test_near_normalisation_for_wide_range(self):
-        total = sum(opf.eq1_pmf(2, 3, y, 100) for y in range(101))
-        assert abs(total - 1) < Fraction(5, 100)
-
-    def test_domain_checks(self):
-        with pytest.raises(opf.DomainError):
-            opf.eq1_pmf(0, 3, 1, 10)
-        with pytest.raises(opf.DomainError):
-            opf.eq1_pmf(1, 3, 11, 10)
+MALFORMED_KEY_FILES = [
+    "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
+    "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\n",
+    "scheme=opf/1\nsampler=gaussian\nr_bits=4\nN=256\nseed_hex=" + "00" * 32 + "\n",
+    "scheme=opf/1\nsampler=beta\nr_bits=4\nN=255\nseed_hex=" + "00" * 32 + "\n",
+    "scheme=opf/1\nsampler=beta\nr_bits\n",
+]
 
 
 class TestKeyFile:
@@ -401,13 +387,7 @@ class TestKeyFile:
         assert lines[3] == "N=1048576"
         assert lines[4].startswith("seed_hex=")
 
-    @pytest.mark.parametrize("text", [
-        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\nseed_hex=zz\n",
-        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=256\n",
-        "scheme=opf/1\nsampler=gaussian\nr_bits=4\nN=256\nseed_hex=" + "00" * 32 + "\n",
-        "scheme=opf/1\nsampler=beta\nr_bits=4\nN=255\nseed_hex=" + "00" * 32 + "\n",
-        "scheme=opf/1\nsampler=beta\nr_bits\n",
-    ])
+    @pytest.mark.parametrize("text", MALFORMED_KEY_FILES)
     def test_malformed_file_rejected(self, tmp_path, text):
         path = str(tmp_path / "bad.key")
         with open(path, "w") as fh:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -57,6 +58,24 @@ def estimate_k(sample: SortedSample) -> Fraction:
 def window_attack(c: int, sample: SortedSample) -> WindowEstimate:
     k_hat = estimate_k(sample)
     return WindowEstimate(m_hat=c / k_hat, k_hat=k_hat)
+
+
+def report_value(value: Fraction):
+    """value as a float, or as a Decimal of 28 significant digits where the
+    float would overflow or underflow to 0, so a report has no range limit."""
+    try:
+        f = float(value)
+        if f or not value:
+            return f
+    except OverflowError:
+        pass
+    return Decimal(value.numerator) / value.denominator
+
+
+def report_text(value) -> str:
+    """A report value in '.6g'; a Decimal drops trailing zeros as a float does."""
+    text = f"{value:.6g}"
+    return f"{Decimal(text).normalize():.6g}" if isinstance(value, Decimal) else text
 
 
 def leakage_bits(n: int) -> float:

@@ -17,8 +17,10 @@ from . import gacd, opf
 from .cli import MAX_KEY_BITS, SCHEMES
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
 
-#: Beta-mode distribution parameters outgrow the sampler's supported
-#: precision at rho = 127; the configuration is reported as unsupported.
+#: opf-beta stops at rho = 63 for cost, not precision: at rho = 127 every
+#: frame takes the 254-bit normal path, about 45 ms per encrypt, so the
+#: default 10 000 values would take minutes per repeat.  Larger rho is
+#: reported as unsupported.
 BETA_MAX_RHO = 63
 
 

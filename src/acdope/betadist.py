@@ -15,17 +15,20 @@ method in floating point on log I against log z gives a guess good to about
 the grid point, with bisection as the fallback.
 
 When the polynomial degree exceeds EXACT_DEGREE_LIMIT, exact evaluation is
-intractable and we substitute the normal quantile with the Beta's exact mean
-and variance, computed with mpmath at fixed precision so draws stay
-deterministic and monotone in u.  The Beta(x, x+1) distributions met in the
-bisection recursion concentrate as 1/sqrt(x), so the substitution error
-vanishes precisely where it is used.
+intractable and we substitute the normal law with the Beta's exact mean
+mu = x/s and variance sigma^2 = xb/(s^2 (s+1)), s = x + b.  That draw is
+pinned to the same grid: the largest w with Phi((w - mu)/sigma) <= u.  Phi is
+evaluated in integer fixed point with a proven error bound, and a comparison
+the bound cannot decide is redone at higher precision, so the draw needs only
+the standard library and does not depend on how its search was seeded.  The
+Beta(x, x+1) distributions met in the bisection recursion concentrate as
+1/sqrt(x), so the substitution error vanishes precisely where it is used.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, exp, floor, ldexp, log, log1p
+from math import comb, erfc, exp, floor, isqrt, ldexp, log, log1p, pi, sqrt
 
 EXACT_DEGREE_LIMIT = 128
 
@@ -37,6 +40,9 @@ _GUESS_MAX_STEPS = 64
 # Above this many bits, 2^-prec and 2^prec leave the range of a double, and
 # the search falls back to bisection over the grid.
 _FLOAT_PREC_LIMIT = 1000
+_LN2 = log(2)
+_SQRT2 = sqrt(2)
+_LN_SQRT_2PI = 0.5 * log(2 * pi)
 
 
 @lru_cache(maxsize=EXACT_DEGREE_LIMIT)
@@ -144,42 +150,187 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
         wn += floor(step)
         curvature = abs((x - 1) / z - (b - 1) / zc)
         err = 4 * (curvature * step * step / (2 * D) + abs(step) * 2.0**-52)
+    return _pin(lambda w: _cdf_leq(x, b, w, prec, un), wn, D)
+
+
+def _pin(leq, wn: int, D: int) -> int:
+    """Largest w in [0, D-1] with leq(w), or 0 when there is none, for a
+    predicate that holds up to some point and fails after it.
+
+    Walks from wn, which the search should have left within a grid point or
+    two, and falls back to bisection if the walk runs long."""
     wn = min(max(wn, 0), D - 1)
-    # pin to the grid definition; Newton should be within a couple of ulps
-    for _ in range(8):
-        if not _cdf_leq(x, b, wn, prec, un):
-            wn -= 1
-        elif _cdf_leq(x, b, wn + 1, prec, un):
+    if leq(wn):
+        for _ in range(8):
+            if wn == D - 1 or not leq(wn + 1):
+                return wn
             wn += 1
-        else:
-            return max(wn, 0)
-        wn = min(max(wn, 0), D - 1)
-    # Newton landed far off (pathological endpoint); fall back to bisection
-    lo, hi = 0, D  # invariant: cdf(lo) <= u, cdf(hi) > u (hi=D sentinel)
+    else:
+        for _ in range(8):
+            if wn == 0:
+                return 0
+            wn -= 1
+            if leq(wn):
+                return wn
+    lo, hi = 0, D  # invariant: leq(lo) or lo = 0, not leq(hi) (hi=D sentinel)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _cdf_leq(x, b, mid, prec, un):
+        if leq(mid):
             lo = mid
         else:
             hi = mid
     return lo
 
 
-def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
-    """Normal-quantile stand-in for huge shapes; deterministic via mpmath."""
-    import mpmath  # only this path needs it; keeps it out of every CLI start
+def _arctan_inv(k: int, bits: int) -> int:
+    """arctan(1/k) * 2^bits, within 2 ulps per series term."""
+    power = (1 << bits) // k
+    total, n = power, 0
+    while power:
+        n += 1
+        power //= k * k
+        total += -(power // (2 * n + 1)) if n & 1 else power // (2 * n + 1)
+    return total
 
+
+@lru_cache(maxsize=64)
+def _constants(P: int) -> tuple:
+    """(2/sqrt(pi), sqrt(2 pi)) at P fractional bits, each within 2 ulps.
+
+    pi comes from Machin's formula 16 arctan(1/5) - 4 arctan(1/239) at P + 32
+    bits, whose error of a few ulps per term is far below an ulp at P bits."""
+    Q = P + 32
+    pi_q = 16 * _arctan_inv(5, Q) - 4 * _arctan_inv(239, Q)
+    return isqrt((4 << (2 * P + Q)) // pi_q), isqrt((pi_q << (2 * P + 1)) >> Q)
+
+
+def _erf_fixed(rn: int, rd: int, P: int) -> tuple:
+    """erf(y) for y = sqrt(rn/rd) at P fractional bits: the value, a bound on
+    its error in ulps, and e^(y^2) at P fractional bits.
+
+    erf(y) = (2/sqrt(pi)) y h(y^2) with h(r) = S(r)/e^r and
+    S(r) = sum_n (2r)^n / (1*3*...*(2n+1)).  S and e^r = sum_n r^n/n! are
+    summed together from r truncated to P bits; each has positive terms,
+    which the truncating steps leave low by at most (n+2)^2 ulps relative to
+    the sum over n terms, the tail left once a term is 0 past n = 2r included.
+    So h <= 1 is within 2(n+3)^2 ulps (|h'| <= 1/3 covers the truncated r),
+    and erf within (floor(y) + 2)(3(n+3)^2 + 8) ulps, however large y is.
+    """
+    one = 1 << P
+    y = isqrt((rn << (2 * P)) // rd)  # sqrt(rn/rd) 2^P, less than 2 low
+    r = (rn << P) // rd
+    r2 = 2 * r
+    e_term = s_term = e_sum = s_sum = one
+    n = 0
+    while e_term or n * one < r2:  # the S terms stay below the e^r terms
+        n += 1
+        e_term = (e_term * r >> P) // n
+        s_term = (s_term * r2 >> P) // (2 * n + 1)
+        e_sum += e_term
+        s_sum += s_term
+    k_erf, _ = _constants(P)
+    value = k_erf * y * ((s_sum << P) // e_sum) >> (2 * P)
+    return value, ((y >> P) + 2) * (3 * (n + 3) ** 2 + 8), e_sum
+
+
+def _normal_quantile_guess(log_v: float) -> float:
+    """Float z <= 0 with log Phi(z) = log_v, for log_v <= log(1/2).
+
+    Newton's method on log Phi, which is concave, from z = -sqrt(-2 log 2v):
+    Phi(z) <= e^(-z^2/2)/2 = v there, so the start lies left of the root and
+    the iterates climb to it without overshooting.  Below z = -37, where
+    erfc leaves double range, log Phi comes from its asymptotic series."""
+    z = -sqrt(max(-2 * (log_v + _LN2), 0.0))
+    for _ in range(_GUESS_MAX_STEPS):
+        if z > -37:
+            cdf = 0.5 * erfc(-z / _SQRT2)
+            g = log(cdf) - log_v
+            slope = exp(-0.5 * z * z - _LN_SQRT_2PI) / cdf
+        else:
+            w = 1 / (z * z)
+            tail = log1p(w * (-1 + w * (3 + w * (-15 + 105 * w))))
+            g = -0.5 * z * z - log(-z) - _LN_SQRT_2PI + tail - log_v
+            slope = -z - 1 / z
+        step = g / slope
+        z -= step
+        if abs(step) < 1e-10:
+            break
+    return z
+
+
+def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
+    """Largest wn with Phi((wn/2^prec - mu)/sigma) <= un/2^prec, for huge shapes.
+
+    With s = x + b and dev = wn s - x 2^prec, the standardised point t has
+    t^2/2 = dev^2 (s+1) / (2 x b 4^prec) exactly, so every comparison starts
+    from integers.  The float standard quantile z0 of the target gives the
+    first grid point floor(2^prec (mu + sigma z0)), with an error near 2^-50
+    in z; Newton steps on the grid refine it while the predicted error (each
+    step squares the error in z) exceeds half an ulp, and two decided
+    comparisons pin the grid point.
+    """
     D = 1 << prec
     if un <= 0:
         return 0
-    with mpmath.mp.workprec(prec + 48):
-        u = mpmath.mpf(un) / D
-        s = x + b
-        mean = mpmath.mpf(x) / s
-        var = mpmath.mpf(x) * b / (mpmath.mpf(s) ** 2 * (s + 1))
-        q = mean + mpmath.sqrt(2 * var) * mpmath.erfinv(2 * u - 1)
-        wn = int(mpmath.floor(q * D))
-    return min(max(wn, 0), D - 1)
+    s = x + b
+    rd = 2 * x * b << (2 * prec)  # t^2/2 = dev^2 (s+1) / rd
+    # 2^prec sigma at 64 fractional bits; zbits grid bits span one sigma
+    dsig = isqrt((x * b << (2 * prec + 128)) // (s * s * (s + 1)))
+    zbits = (dsig >> 64).bit_length()
+
+    def precision(rn: int) -> int:
+        # the CDF gap between neighbouring grid points is about
+        # 2^-zbits e^(-t^2/2); 40 guard bits leave ~20 past the error bound
+        bits = zbits + 3 * (rn // rd) // 2 + 40
+        return -(-bits // 32) * 32
+
+    def cdf(dev: int, rn: int, P: int) -> tuple:
+        """Phi(t) at P fractional bits, its error bound in ulps, e^(t^2/2)."""
+        value, err, e_sq = _erf_fixed(rn, rd, P)
+        return ((1 << P) + value if dev > 0 else (1 << P) - value) >> 1, err, e_sq
+
+    def leq(wn: int) -> bool:
+        dev = wn * s - x * D
+        if not dev:
+            return 2 * un >= D  # Phi(0) = 1/2 exactly
+        rn = dev * dev * (s + 1)
+        if 10000 * rn >= 6932 * prec * rd:
+            # t^2/2 >= prec ln 2: Phi(t) or 1 - Phi(t) is at most
+            # e^(-t^2/2)/2 < 2^-prec, beyond every target
+            return dev < 0
+        P = precision(rn)
+        while P <= 64 * prec + 4096:
+            phi, err, _ = cdf(dev, rn, P)
+            if (phi + err) << prec <= un << P:
+                return True
+            if (phi - err) << prec >= un << P:
+                return False
+            P = -(-(P + P // 2) // 32) * 32  # undecided: retry wider (Ziv)
+        return True  # equal to within 2^-P: a tie counts as Phi <= u
+
+    vn = min(un, D - un)
+    v = vn / D  # correctly rounded; log(vn) - prec ln 2 would cancel
+    z = _normal_quantile_guess(log(v) if v > 1e-300 else log(vn) - prec * _LN2)
+    if vn != un:
+        z = -z
+    zn, zd = z.as_integer_ratio()
+    wn = ((x * zd << (prec + 64)) + s * dsig * zn) // (s * zd << 64)
+    err = (dsig >> 64) * (int(abs(z)) + 2) >> 48  # predicted, in ulps
+    for _ in range(2 + prec.bit_length()):
+        dev = wn * s - x * D
+        rn = dev * dev * (s + 1)
+        if not err or not 0 <= wn < D or 10000 * rn >= 6932 * prec * rd:
+            break
+        P = precision(rn)
+        phi, _, e_sq = cdf(dev, rn, P)
+        _, k_sq2pi = _constants(P)
+        # Newton: dt = (u - Phi(t)) / Phi'(t), Phi'(t) = e^(-t^2/2) / sqrt(2 pi)
+        dt = (((un << P) >> prec) - phi) * k_sq2pi * e_sq >> (2 * P)
+        step = dt * dsig >> (P + 64)
+        wn += step
+        # Phi^-1 has curvature |t| <= t^2/2 + 1 in units of sigma
+        err = (rn // rd + 1) * step * step // max(dsig >> 64, 1)
+    return _pin(leq, wn, D)
 
 
 def beta_icdf_bits(x: int, b: int, un: int, prec: int) -> int:

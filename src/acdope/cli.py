@@ -266,6 +266,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from decimal import Decimal  # loaded with analysis anyway
+
     from . import analysis  # only this command needs it; keeps it out of every CLI start
 
     if args.M < 1:
@@ -277,25 +279,23 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     sample = analysis.SortedSample(tuple(sorted(cts)), args.M)
     n = sample.n
-    try:
-        k_hat = float(analysis.estimate_k(sample))
-        if args.challenge is not None:
-            m_hat = float(analysis.window_attack(args.challenge, sample).m_hat)
-    except ZeroDivisionError:
-        print("error: sample maximum is 0, so no challenge estimate", file=sys.stderr)
-        return EXIT_DATA
-    except OverflowError:
-        print("error: an estimate is beyond the float range of the report", file=sys.stderr)
-        return EXIT_DATA
-    print(f"metric=k_hat value={k_hat:.6g} band=0")
+    k_hat = analysis.report_value(analysis.estimate_k(sample))
+    if args.challenge is not None:
+        try:
+            m_hat = analysis.report_value(analysis.window_attack(args.challenge, sample).m_hat)
+        except ZeroDivisionError:
+            print("error: sample maximum is 0, so no challenge estimate", file=sys.stderr)
+            return EXIT_DATA
+    print(f"metric=k_hat value={analysis.report_text(k_hat)} band=0")
     print(
         f"metric=leakage_bits value={analysis.leakage_bits(n):.4f} "
         f"band={analysis.LEAKAGE_BAND_BITS}"
     )
     if args.challenge is not None:
-        print(f"metric=m_hat value={m_hat:.6g} band=0")
-        print(f"metric=radius_fail value={m_hat / (2 * n):.6g} band=0")
-        print(f"metric=radius_succeed value={m_hat * math.log(2) / n:.6g} band=0")
+        print(f"metric=m_hat value={analysis.report_text(m_hat)} band=0")
+        print(f"metric=radius_fail value={analysis.report_text(m_hat / (2 * n))} band=0")
+        ln2 = math.log(2) if isinstance(m_hat, float) else Decimal(2).ln()
+        print(f"metric=radius_succeed value={analysis.report_text(m_hat * ln2 / n)} band=0")
     if args.bruteforce:
         k_min, k_max = args.bruteforce
         candidates = analysis.bruteforce_gacd(cts, k_min, k_max)

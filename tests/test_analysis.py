@@ -244,3 +244,18 @@ class TestWindowSuccessRate:
             n=20, M=2**10, lam=None, trials=5, radius=lambda m: Fraction(m + 1, 2), seed=seed_of(10)
         )
         assert 0.0 <= rate <= 1.0
+
+
+class TestReportValue:
+    def test_float_where_it_fits(self):
+        for value in (Fraction(0), Fraction(5, 128), Fraction(10**300, 3), Fraction(1, 10**310)):
+            got = analysis.report_value(value)
+            assert isinstance(got, float) and got == float(value)
+            assert analysis.report_text(got) == f"{float(value):.6g}"
+
+    def test_decimal_beyond_float_range(self):
+        big = analysis.report_value(Fraction(10**400 - 1, 128))
+        tiny = analysis.report_value(Fraction(128, 10**400 - 1))
+        assert analysis.report_text(big) == "7.8125e+397"
+        assert analysis.report_text(tiny) == "1.28e-398"
+        assert analysis.report_text(big * 3) == "2.34375e+398"

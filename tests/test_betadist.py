@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +142,22 @@ class TestInverse:
                 mid = (lo + hi) // 2
                 lo, hi = (mid, hi) if betadist._cdf_leq(x, b, mid, prec, un) else (lo, mid)
             assert wn == lo
+        # normal path: the seed is the float standard quantile, good to
+        # ~2^-52 in units of sigma, and each grid Newton step doubles its
+        # bits: 2 to 5 steps here, then two pin comparisons (4 evaluations
+        # per draw at h = 2^120).  A seed formed as a float q = mu + sigma z
+        # loses sigma ~ 2^-62 below q's ulp there and takes 6 to 12
+        evals = []
+        real_erf = betadist._erf_fixed
+        monkeypatch.setattr(betadist, "_erf_fixed", lambda *a: evals.append(a) or real_erf(*a))
+        for x, b, prec, draws, budget in (
+            (300, 301, 480, 1, 7), (2**20, 2**20 + 1, 1000, 1, 8), (2**120, 2**120 + 1, 254, 6, 30),
+        ):
+            evals.clear()
+            for _ in range(draws):
+                un = g.bits(prec)
+                assert pinned(x, b, betadist.beta_icdf_bits(x, b, un, prec), un, prec)
+            assert len(evals) <= budget
 
     def test_beyond_double_range_bisects(self):
         # 2^-1100 underflows a double, so the float guess is skipped
@@ -412,6 +429,230 @@ class TestNormalFallback:
         assert betadist.beta_icdf_bits(x, b, 0, 64) == 0
         w = betadist.beta_icdf_bits(x, b, (1 << 64) - 1, 64)
         assert 0 <= w < 1 << 64
+
+
+# Outputs of beta_icdf_bits(x, b, un, prec) on the normal path as (un, wn)
+# pairs, recorded from the mpmath erfinv quantile that preceded the
+# grid-pinned one: targets 1/2 and four from gen_of(prec), plus 1 and
+# 2^64 - 1 at 64 bits, each kept only where that quantile agreed with
+# mpmath at prec + 300 bits.  The draw is a grid point, so any correct
+# search must reproduce them bit for bit.
+NORMAL_GOLDEN = {
+    (65, 66, 64): (
+        (0x8000000000000000, 0x7f05dcd30dadec75),
+        (0x2574f4555b12ee10, 0x734c82618db7d24a),
+        (0x93ecdc768f9b1c8e, 0x8135dc975c5238d2),
+        (0xe9eb0266411b4d3f, 0x8e38780450ab279c),
+        (0x7ad00a9a1c57571d, 0x7e74f103dd8869c5),
+        (0x1, 0x19dd367b2f6b91a7),
+        (0xffffffffffffffff, 0xe42e832aebf04743),
+    ),
+    (1000, 1001, 64): (
+        (0x8000000000000000, 0x7fef9fcac75307cd),
+        (0x2574f4555b12ee10, 0x7cececea3046465d),
+        (0x93ecdc768f9b1c8e, 0x807f6c3ffbb1da7f),
+        (0xe9eb0266411b4d3f, 0x83d6ab2af3562aa6),
+        (0x7ad00a9a1c57571d, 0x7fca692a03c39b30),
+        (0x1, 0x65f5c9149d0f7931),
+        (0xffffffffffffffff, 0x99e97680f1969669),
+    ),
+    (65539, 65541, 64): (
+        (0x8000000000000000, 0x7fff8001fff8001f),
+        (0x2574f4555b12ee10, 0x7fa041066919e104),
+        (0x93ecdc768f9b1c8e, 0x80114570338e83f0),
+        (0xe9eb0266411b4d3f, 0x807af747299b74b7),
+        (0x7ad00a9a1c57571d, 0x7ffae6ab4a2b044b),
+        (0x1, 0x7cc9afb92b09a362),
+        (0xffffffffffffffff, 0x8335504ad4e65cdd),
+    ),
+    (2147483647, 2147483648, 64): (
+        (0x8000000000000000, 0x7fffffff7fffffff),
+        (0x2574f4555b12ee10, 0x7fff794b923b730f),
+        (0x93ecdc768f9b1c8e, 0x8000192196506af0),
+        (0xe9eb0266411b4d3f, 0x8000ae9c76f9ef5f),
+        (0x7ad00a9a1c57571d, 0x7ffff97e6f390628),
+        (0x1, 0x7ffb75bcfa1407cf),
+        (0xffffffffffffffff, 0x80048a4205ebf82f),
+    ),
+    (140737488355328, 140737488355329, 64): (
+        (0x8000000000000000, 0x7fffffffffff8000),
+        (0x2574f4555b12ee10, 0x7fffff794c11bb73),
+        (0x93ecdc768f9b1c8e, 0x800000192215d06a),
+        (0xe9eb0266411b4d3f, 0x800000ae9cf679ef),
+        (0x7ad00a9a1c57571d, 0x7ffffff97eeeb906),
+        (0x1, 0x7ffffb75bd799407),
+        (0xffffffffffffffff, 0x8000048a42856bf8),
+    ),
+    (4611686018427387904, 4611686018427387905, 64): (
+        (0x8000000000000000, 0x7fffffffffffffff),
+        (0x2574f4555b12ee10, 0x7fffffff41805c37),
+        (0x93ecdc768f9b1c8e, 0x80000000238b2c5e),
+        (0xe9eb0266411b4d3f, 0x80000000f6f0b5e9),
+        (0x7ad00a9a1c57571d, 0x7ffffffff6cd3de1),
+        (0x1, 0x7ffffff99450fc38),
+        (0xffffffffffffffff, 0x800000066baf03c5),
+    ),
+    (40, 200, 64): (
+        (0x8000000000000000, 0x2aaaaaaaaaaaaaaa),
+        (0x2574f4555b12ee10, 0x243300eac35ca522),
+        (0x93ecdc768f9b1c8e, 0x2bdf957bda48b0d8),
+        (0xe9eb0266411b4d3f, 0x330ce04f8fd11c77),
+        (0x7ad00a9a1c57571d, 0x2a5ab8f86fc12131),
+        (0x1, 0x0),
+        (0xffffffffffffffff, 0x627843ca94a96a8d),
+    ),
+    (65, 66, 96): (
+        (0x800000000000000000000000, 0x7f05dcd30dadec75407d1196),
+        (0x3470832abac30c53d7883156, 0x75d6867cb0e0b216ac3e17f5),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x827946f7c1297d06a9c6d1b1),
+        (0x802a1e326be11e0c95945a48, 0x7f0a74fcf5395383a440cc5a),
+        (0x4ed4fbf87af2e806709f5052, 0x796eff05113220cfc943f2db),
+    ),
+    (1000, 1001, 96): (
+        (0x800000000000000000000000, 0x7fef9fcac75307cdd95d026e),
+        (0x3470832abac30c53d7883156, 0x7d93d6c8cb1692054b81ac3d),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x80d27880014f2051feee5b73),
+        (0x802a1e326be11e0c95945a48, 0x7ff0cdcfd38089b08ffc8057),
+        (0x4ed4fbf87af2e806709f5052, 0x7e8033715ebbdd4c30911b1b),
+    ),
+    (65539, 65541, 96): (
+        (0x800000000000000000000000, 0x7fff8001fff8001fff8001ff),
+        (0x3470832abac30c53d7883156, 0x7fb4e1c0bc70aefdfd25b0e7),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x801b88dd66f1505289f502f0),
+        (0x802a1e326be11e0c95945a48, 0x7fffa5552633a6235ed27ef8),
+        (0x4ed4fbf87af2e806709f5052, 0x7fd217a7878a65ef16c09d78),
+    ),
+    (2147483647, 2147483648, 96): (
+        (0x800000000000000000000000, 0x7fffffff7fffffff7fffffff),
+        (0x3470832abac30c53d7883156, 0x7fff9677e78f9180202221c6),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x800027a574fef8899591527a),
+        (0x802a1e326be11e0c95945a48, 0x80000034497c586e0786f116),
+        (0x4ed4fbf87af2e806709f5052, 0x7fffbfc79e0c6069e194e85c),
+    ),
+    (140737488355328, 140737488355329, 96): (
+        (0x800000000000000000000000, 0x7fffffffffff800000000000),
+        (0x3470832abac30c53d7883156, 0x7fffff9678670f918109a985),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x80000027a5f47ef889edeb71),
+        (0x802a1e326be11e0c95945a48, 0x8000000034c8fc586e875228),
+        (0x4ed4fbf87af2e806709f5052, 0x7fffffbfc81d8c606aa1ccaa),
+    ),
+    (4611686018427387904, 4611686018427387905, 96): (
+        (0x800000000000000000000000, 0x7fffffffffffffff00000000),
+        (0x3470832abac30c53d7883156, 0x7fffffff6ac22db0facf1f4e),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x80000000381234f45c0c69cc),
+        (0x802a1e326be11e0c95945a48, 0x80000000004aa6f36ce07230),
+        (0x4ed4fbf87af2e806709f5052, 0x7fffffffa52e7eb94624a062),
+    ),
+    (40, 200, 96): (
+        (0x800000000000000000000000, 0x2aaaaaaaaaaaaaaaaaaaaaaa),
+        (0x3470832abac30c53d7883156, 0x259993e310eb9e3ec82fad1c),
+        (0x9f22d54c8ca209d9ca1cb2bd, 0x2c91fe141e7705b8cede7bc3),
+        (0x802a1e326be11e0c95945a48, 0x2aad337bf809cb2df23a990e),
+        (0x4ed4fbf87af2e806709f5052, 0x2795585c1dd227b94f283e83),
+    ),
+    (65, 66, 126): (
+        (0x20000000000000000000000000000000, 0x1fc17734c36b7b1d501f44659e4a4271),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x205230306e9e9f19acbc51f3a2f5431a),
+        (0x2d97294f78b3414db025a70047a0647a, 0x2150efb6c97527ec9b484d085034047b),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x23b3734037cc76125bca647970dc369b),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1cd921e75426f1d618efad707cc15d3f),
+    ),
+    (1000, 1001, 126): (
+        (0x20000000000000000000000000000000, 0x1ffbe7f2b1d4c1f37657409b91f99a6b),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x202111864fd889fde202f928b83697a8),
+        (0x2d97294f78b3414db025a70047a0647a, 0x20627bcfb5744cbfb047f1f7986df78d),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x20ff40f001e3f599a762aaacc2a99662),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1f3cc5fc0811063786e5d801b1a64de4),
+    ),
+    (65539, 65541, 126): (
+        (0x20000000000000000000000000000000, 0x1fffe0007ffe0007ffe0007ffe0007ff),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x200477ba4c4262566ae65bf851a24daf),
+        (0x2d97294f78b3414db025a70047a0647a, 0x200c8d4cf95885fff5b8e53c8ec13b92),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x201fed1cd37727792bde6e7232492b0e),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1fe8410ab09edf80433835bf8c36bf90),
+    ),
+    (2147483647, 2147483648, 126): (
+        (0x20000000000000000000000000000000, 0x1fffffffdfffffffdfffffffdfffffff),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x2000067ea8cfa4fa63b9ee22478a4b9b),
+        (0x2d97294f78b3414db025a70047a0647a, 0x200011ed93fa788d21777a17c7473df7),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x20002d540d58f7fd9047bb2bb14e62f6),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1fffde97e366ab84a124ff2a5d6caa1c),
+    ),
+    (140737488355328, 140737488355329, 126): (
+        (0x20000000000000000000000000000000, 0x1fffffffffffe000000000001fffffff),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x200000067ec8afa4fa7d3b28b226f7a7),
+        (0x2d97294f78b3414db025a70047a0647a, 0x20000011edb3da788d2f89cf3448b75c),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x2000002d542d38f7fd82f3a49ceffd89),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1fffffde980346ab84e28ceb2fd39afb),
+    ),
+    (4611686018427387904, 4611686018427387905, 126): (
+        (0x20000000000000000000000000000000, 0x1fffffffffffffffc000000000000000),
+        (0x2525a7f468da663a5bc08307408afdbd, 0x20000000092f8842fa3387aa47e58d71),
+        (0x2d97294f78b3414db025a70047a0647a, 0x20000000195ad1fe19ae481aae1c4d93),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0x20000000401ac8e12f91f53f5724ead6),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x1fffffffd0c1aa160f8f05d2d6332170),
+    ),
+    (40, 200, 126): (
+        (0x20000000000000000000000000000000, 0xaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa),
+        (0x2525a7f468da663a5bc08307408afdbd, 0xafa80533cba2fa1666e5d634fa4b1c5),
+        (0x2d97294f78b3414db025a70047a0647a, 0xb8707be0b8b7aac30828ce69791a399),
+        (0x3afcf47fd00d08c42a54f855a95bce56, 0xcd7d039ebef1863a17d309ca106cec2),
+        (0x97d05909133c078e40ea8865d5f6c83, 0x9101044adf62a8f1e302db77ad8be64),
+    ),
+}
+
+
+# deep-tail targets below 2^(prec - 100) at 126 bits, mirrored to the top
+DEEP_TAILS = (1, 2, 3, 0x2F00001, (1 << 26) - 1)
+
+
+def mp_leq(x, b, wn, un, prec):
+    """Phi((wn/2^prec - mu)/sigma) <= un/2^prec in mpmath at 2 prec + 64 bits."""
+    D = 1 << prec
+    with mpmath.mp.workprec(2 * prec + 64):
+        s = x + b
+        sigma = mpmath.sqrt(mpmath.mpf(x) * b / (s + 1)) / s
+        t = (mpmath.mpf(wn) / D - mpmath.mpf(x) / s) / sigma
+        if t > 0:  # compare upper tails, which keep their relative precision
+            return mpmath.ncdf(-t) >= mpmath.mpf(D - un) / D
+        return mpmath.ncdf(t) <= mpmath.mpf(un) / D
+
+
+def pinned(x, b, wn, un, prec):
+    """wn is the largest grid point with Phi <= u, or 0 when none is."""
+    D = 1 << prec
+    return ((wn == 0 or mp_leq(x, b, wn, un, prec))
+            and (wn == D - 1 or not mp_leq(x, b, wn + 1, un, prec)))
+
+
+class TestNormalPath:
+    @pytest.mark.parametrize("shape", sorted(NORMAL_GOLDEN))
+    def test_golden(self, shape):
+        x, b, prec = shape
+        pairs = NORMAL_GOLDEN[shape]
+        assert tuple((un, betadist.beta_icdf_bits(x, b, un, prec)) for un, _ in pairs) == pairs
+
+    @pytest.mark.parametrize("shape", sorted(NORMAL_GOLDEN))
+    def test_pinned_against_mpmath(self, shape):
+        x, b, prec = shape
+        D = 1 << prec
+        targets = [un for un, _ in NORMAL_GOLDEN[shape]]
+        if prec == 126:
+            targets += [un for t in DEEP_TAILS for un in (t, D - t)]
+        for un in targets:
+            assert pinned(x, b, betadist.beta_icdf_bits(x, b, un, prec), un, prec), hex(un)
+
+    @given(
+        h=st.integers(min_value=65, max_value=2**62),
+        prec=st.sampled_from((64, 126)),
+        un=st.integers(min_value=1, max_value=2**126),
+        gap=st.integers(min_value=1, max_value=2**40),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_in_target(self, h, prec, un, gap):
+        D = 1 << prec
+        lo, hi = un % D, min(un % D + gap, D - 1)
+        assert betadist.beta_icdf_bits(h, h + 1, lo, prec) <= betadist.beta_icdf_bits(h, h + 1, hi, prec)
 
 
 class TestDraw:

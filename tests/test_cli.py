@@ -1,5 +1,6 @@
 import importlib
 import io
+import json
 import os
 import pkgutil
 import subprocess
@@ -525,17 +526,28 @@ class TestMalformedInput:
         assert rc == cli.EXIT_PARAMS
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("lines, challenge", [
-        ("0\n0\n", "5"),  # k_hat = 0: no challenge estimate
-        ("9" * 400 + "\n", None),  # k_hat beyond the float range
-        ("5\n", "9" * 400),  # m_hat beyond the float range
+    @pytest.mark.parametrize("lines, challenge, expected", [
+        ("0\n0\n", "5", None),  # k_hat = 0: no challenge estimate, exit 3
+        # k_hat beyond the float range: (10^400 - 1) / 128
+        ("9" * 400 + "\n", None, {"k_hat": "7.8125e+397"}),
+        # m_hat beyond the float range: (10^400 - 1) / (5/128), radii m/2 and m ln 2
+        ("5\n", "9" * 400, {"k_hat": "0.0390625", "m_hat": "2.56e+401",
+                             "radius_fail": "1.28e+401", "radius_succeed": "1.77446e+401"}),
     ], ids=["zero-maximum", "huge-sample", "huge-challenge"])
-    def test_analyze_estimates_out_of_range(self, tmp_path, capsys, lines, challenge):
+    def test_analyze_estimates_out_of_range(self, tmp_path, capsys, lines, challenge, expected):
         ct = tmp_path / "c.txt"
         ct.write_text(lines)
         extra = ("--challenge", challenge) if challenge else ()
-        assert run("analyze", "--in", str(ct), "--M", "128", *extra) == cli.EXIT_DATA
-        assert "error:" in capsys.readouterr().err
+        rc = run("analyze", "--in", str(ct), "--M", "128", *extra)
+        out, err = capsys.readouterr()
+        if expected is None:
+            assert rc == cli.EXIT_DATA
+            assert "error:" in err
+        else:
+            assert rc == cli.EXIT_OK
+            values = dict(line.split()[0:2] for line in out.splitlines())
+            assert {k: values[f"metric={k}"] for k in expected} == {
+                k: f"value={v}" for k, v in expected.items()}
 
 
 GOOD_KEYS = [
@@ -640,21 +652,39 @@ def test_import_does_not_load_mpmath():
     assert _fresh_python("-c", code).returncode == 0
 
 
-def test_beta_normal_path_loads_mpmath_on_demand():
-    pairs = OPF_GOLDEN[15]
+def test_opf_beta_runs_without_mpmath(tmp_path):
+    """mpmath is only a test oracle: with its import blocked, opf-beta (whose
+    normal path covers most frames) reproduces its golden ciphertexts, and a
+    keygen -> encrypt -> sort-verify -> decrypt pass runs through cli.main."""
+    plaintexts = {rho: [m for m, _ in pairs] for rho, pairs in OPF_GOLDEN.items()}
+    ms = plaintexts[15]
+    (tmp_path / "p.txt").write_text("".join(f"{m}\n" for m in ms))
     code = (
-        "import sys\n"
-        "from acdope import opf\n"
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None  # any import of it raises ImportError\n"
+        "from acdope import cli, opf\n"
         "from acdope.prng import Seed\n"
+        "d = sys.argv[1]\n"
         f"seed = Seed(bytes([{GOLDEN_KEY_SEED}]) * 32)\n"
-        "key = opf.make_opf_key(15, opf.Sampler.BETA, master_seed=seed)\n"
-        "before = 'mpmath' in sys.modules\n"
-        f"cts = [opf.opf_encrypt(m, key) for m in {[m for m, _ in pairs]}]\n"
-        "print(before, 'mpmath' in sys.modules, cts)\n"
+        "golden = {rho: [opf.opf_encrypt(m, opf.make_opf_key(rho, opf.Sampler.BETA, "
+        f"master_seed=seed)) for m in ms] for rho, ms in {plaintexts!r}.items()}}\n"
+        "rcs = [cli.main(argv.split()) for argv in (\n"
+        f"    f'keygen --scheme opf-beta --rho 15 --seed {SEED} --out {{d}}/k.key',\n"
+        "    f'encrypt --key {d}/k.key --in {d}/p.txt --out {d}/c.txt',\n"
+        "    f'sort-verify --key {d}/k.key --in {d}/c.txt --plain {d}/p.txt',\n"
+        "    f'decrypt --key {d}/k.key --in {d}/c.txt --out {d}/d.txt')]\n"
+        "print(json.dumps([golden, rcs, sys.modules['mpmath']]))\n"
     )
-    result = _fresh_python("-c", code)
+    result = _fresh_python("-c", code, str(tmp_path))
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == f"False True {[c for _, c in pairs]}"
+    golden, rcs, mpmath_module = json.loads(result.stdout.splitlines()[-1])
+    assert golden == {str(rho): [c for _, c in pairs] for rho, pairs in OPF_GOLDEN.items()}
+    assert rcs == [cli.EXIT_OK] * 4
+    assert mpmath_module is None
+    key = opf.load_key(tmp_path / "k.key")
+    cts = [int(line) for line in (tmp_path / "c.txt").read_text().split()]
+    assert cts == opf.opf_encrypt_many(ms, key)
+    assert [int(line) for line in (tmp_path / "d.txt").read_text().split()] == ms
 
 
 def test_import_does_not_load_analyze_or_bench_modules():

@@ -171,30 +171,42 @@ def decrypt(c: Ciphertext, key: SecretKey) -> int:
     return m
 
 
+def _first_outside(values: list, M: int) -> Optional[int]:
+    """Position of the first value outside [0, M], or None.  min and max
+    scan the list at C speed; it is walked only when one of them fails."""
+    if not values or (0 <= min(values) and max(values) <= M):
+        return None
+    return next(i for i, v in enumerate(values) if not 0 <= v <= M)
+
+
 def encrypt_many(ms: list, key: SecretKey, gen: DeterministicGenerator) -> list:
-    """[encrypt(m, key, gen) for m in ms], noise drawn in list order.  A
-    DomainError carries the position of the failing plaintext as `index`."""
-    out = []
-    try:
-        for i, m in enumerate(ms):
-            out.append(encrypt(m, key, gen))
-    except DomainError as exc:
-        exc.index = i
-        raise
-    return out
+    """[encrypt(m, key, gen) for m in ms], noise drawn in list order in one
+    uniform_ints call.  A DomainError carries the position of the first
+    failing plaintext as `index`; no noise is drawn then."""
+    i = _first_outside(ms, key.params.M)
+    if i is not None:
+        try:
+            encrypt(ms[i], key, gen)  # raises before it draws noise
+        except DomainError as exc:
+            exc.index = i
+            raise
+    k = key.k
+    return [m * k + r for m, r in zip(ms, gen.uniform_ints(key.noise_lo, key.noise_hi, len(ms)))]
 
 
 def decrypt_many(cs: list, key: SecretKey) -> list:
     """[decrypt(c, key) for c in cs].  A ForeignCiphertextError carries the
-    position of the failing ciphertext as `index`."""
-    out = []
-    try:
-        for i, c in enumerate(cs):
-            out.append(decrypt(c, key))
-    except ForeignCiphertextError as exc:
-        exc.index = i
-        raise
-    return out
+    position of the first failing ciphertext as `index`."""
+    k = key.k
+    ms = [c // k for c in cs]
+    i = _first_outside(ms, key.params.M)
+    if i is not None:
+        try:
+            decrypt(cs[i], key)
+        except ForeignCiphertextError as exc:
+            exc.index = i
+            raise
+    return ms
 
 
 def save_key(key: SecretKey, path: str) -> None:

@@ -33,6 +33,8 @@ STREAM_FORMAT = "sha256-ctr/1"
 _BLOCK = hashlib.sha256().digest_size
 #: Longest run of blocks one refill hashes (2 KiB).
 _MAX_RUN = 64
+#: Most candidates uniform_ints reads in one pass.
+_MAX_PASS = 4096
 
 
 class RangeError(ValueError):
@@ -130,6 +132,31 @@ class DeterministicGenerator:
             v = self.bits(k)
             if v < span:
                 return lo + v
+
+    def uniform_ints(self, lo: int, hi: int, n: int) -> list:
+        """[self.uniform_int(lo, hi) for _ in range(n)]: the same draws and
+        rejections, and the stream left at the same position.  Raises
+        RangeError for lo > hi even when n <= 0.
+
+        Each pass reads at most the candidates still needed (and at most
+        _MAX_PASS) with one bytes() call, so the last candidate read is
+        always accepted and nothing is read ahead of the loop.
+        """
+        if lo > hi:
+            raise RangeError(f"empty range [{lo}, {hi}]")
+        span = hi - lo + 1
+        if span == 1:
+            return [lo] * max(n, 0)
+        k = (span - 1).bit_length()
+        nb = (k + 7) // 8
+        shift = nb * 8 - k
+        from_bytes = int.from_bytes
+        out = []
+        while len(out) < n:
+            buf = self.bytes(nb * min(n - len(out), _MAX_PASS))
+            out += [lo + v for i in range(0, len(buf), nb)
+                    if (v := from_bytes(buf[i:i + nb], "big") >> shift) < span]
+        return out
 
     def uniform_fraction(self, precision_bits: int) -> Fraction:
         """Dyadic rational j / 2^precision_bits, j uniform on [0, 2^precision_bits).

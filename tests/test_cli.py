@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -100,6 +101,55 @@ class TestEncryptDecrypt:
         plains = [int(x) for x in open(ct + ".plain")]
         assert len(plains) == 50
         assert all(0 <= m < 128 for m in plains)
+
+    def test_random_files_golden_rho127(self, tmp_path):
+        # recorded with the per-value uniform_int loops and line-by-line writes
+        key, ct, out = (str(tmp_path / name) for name in ("k.key", "c.txt", "d.txt"))
+        assert run("keygen", "--scheme", "gacd", "--rho", "127", "--seed", "5e" * 32,
+                   "--out", key) == 0
+        assert run("encrypt", "--key", key, "--random", "3000", "--seed", "6f" * 32,
+                   "--out", ct) == 0
+        assert run("decrypt", "--key", key, "--in", ct, "--out", out) == 0
+
+        def sha(path):
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+        assert sha(key) == "f56c3ea4fd8cfe664abbe13edb16aeee9eca7c958ae37389f8b90e326fa0d179"
+        plain_sha = "b90dafd834736ec62c6263f159bacd31db4105b9735370cd1534aa5be1a57259"
+        assert sha(ct + ".plain") == plain_sha
+        assert sha(ct) == "f6e8d0cf8ca3580e43901a159655426fdcd20322b5eb3e12a3e96a028141d112"
+        assert sha(out) == plain_sha
+
+    @pytest.mark.parametrize("text, values", [
+        ("1_000\n  5  \n-3\n", [1000, 5, -3]),
+        ("7\r\n8\r\n9", [7, 8, 9]),
+        ("\t12\t\n+4\n0_1\n", [12, 4, 1]),
+        ("1\n\n  \n2\n\n", [1, 2]),
+        ("", []),
+    ])
+    def test_read_ints_accepts_what_int_accepts(self, tmp_path, text, values):
+        path = tmp_path / "v.txt"
+        path.write_bytes(text.encode())
+        assert cli._read_ints(str(path)) == values
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("1\n\n2\n1 2\n", 4),
+        ("\n\n\nx\n", 4),
+        ("5\r\n\r\n6_\r\n", 3),
+    ])
+    def test_read_ints_names_the_bad_line(self, tmp_path, capsys, text, lineno):
+        path = tmp_path / "v.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(SystemExit) as info:
+            cli._read_ints(str(path))
+        assert info.value.code == cli.EXIT_DATA
+        assert f"error: line {lineno}: not an integer" in capsys.readouterr().err
+
+    def test_write_ints_across_chunks(self, tmp_path):
+        path = tmp_path / "v.txt"
+        values = list(range(-3, 2 * cli._WRITE_CHUNK + 5))
+        cli._write_ints(str(path), values)
+        assert path.read_text() == "".join(f"{v}\n" for v in values)
 
     def test_empty_input(self, tmp_path, gacd_key):
         plain = str(tmp_path / "p.txt")
@@ -265,6 +315,18 @@ class TestSortVerify:
         rc = run("sort-verify", "--key", beta_key, "--in", ct, "--plain", ct + ".plain")
         assert rc == cli.EXIT_ORDER
         assert "cross-check failed at index 4" in capsys.readouterr().err
+
+
+    def test_gacd_cross_check_names_first_mismatch(self, tmp_path, gacd_key, capsys):
+        ct = self.make_batch(tmp_path, gacd_key)
+        plains = open(ct + ".plain").read().splitlines()
+        for i in (17, 150):
+            plains[i] = str(int(plains[i]) ^ 1)
+        with open(ct + ".plain", "w") as fh:
+            fh.write("\n".join(plains) + "\n")
+        rc = run("sort-verify", "--key", gacd_key, "--in", ct, "--plain", ct + ".plain")
+        assert rc == cli.EXIT_ORDER
+        assert capsys.readouterr().err == "error: plaintext cross-check failed at index 17\n"
 
 
 class TestSeedSeparation:

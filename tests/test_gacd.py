@@ -236,6 +236,42 @@ class TestBatch:
         assert info.value.index == 1
 
 
+    @pytest.mark.parametrize("ms, index, bad", [
+        ([129], 0, 129),
+        ([0, 128, -1, 500], 2, -1),
+        ([3] * 5000 + [129] + [-1] * 3, 5000, 129),
+    ])
+    def test_first_bad_plaintext_and_message(self, ms, index, bad):
+        key = small_key()
+        gen = gen_of(62)
+        with pytest.raises(gacd.DomainError) as info:
+            gacd.encrypt_many(ms, key, gen)
+        assert info.value.index == index
+        assert str(info.value) == f"plaintext {bad} outside [0, 128]"
+        # no noise is drawn for the valid prefix
+        assert gen.bytes(64) == gen_of(62).bytes(64)
+
+    @pytest.mark.parametrize("factors, index, quotient", [
+        ([-1], 0, -1),
+        ([0, 128, 129, -5], 2, 129),
+        ([7] * 5000 + [-1, 200], 5000, -1),
+    ])
+    def test_first_foreign_ciphertext_and_message(self, factors, index, quotient):
+        key = small_key()
+        with pytest.raises(gacd.ForeignCiphertextError) as info:
+            gacd.decrypt_many([f * key.k + 1 for f in factors], key)
+        assert info.value.index == index
+        assert str(info.value) == (
+            f"quotient {quotient} outside [0, 128]: not a ciphertext for this key")
+
+    def test_empty_batches(self):
+        key = small_key()
+        gen = gen_of(63)
+        assert gacd.encrypt_many([], key, gen) == []
+        assert gacd.decrypt_many([], key) == []
+        assert gen.bytes(64) == gen_of(63).bytes(64)
+
+
 class TestKeyFile:
     def test_roundtrip(self, tmp_path):
         key = small_key()

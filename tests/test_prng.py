@@ -104,6 +104,52 @@ class TestUniformInt:
         assert lo <= v <= lo + span
 
 
+def loop_reference(g, lo, hi, n):
+    return [g.uniform_int(lo, hi) for _ in range(n)]
+
+
+def bytes_read(g):
+    """Stream bytes a generator has handed out so far."""
+    return g._counter * 32 - (len(g._buf) - g._pos)
+
+
+class TestUniformInts:
+    @given(
+        bits=st.integers(min_value=1, max_value=600),
+        delta=st.sampled_from((-1, 0, 1)),
+        n=st.sampled_from((0, 1, 4095, 4096, 4097, 10**4)),
+        lo=st.integers(min_value=-(10**40), max_value=10**40),
+        seed_byte=st.integers(min_value=0, max_value=255),
+        offset=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_uniform_int_loop(self, bits, delta, n, lo, seed_byte, offset):
+        # spans 2^k - 1, 2^k and 2^k + 1, from a stream already offset
+        hi = lo + (1 << bits) + delta - 1
+        g, ref = gen_of(seed_byte), gen_of(seed_byte)
+        for h in (g, ref):
+            h.bytes(offset)
+        assert g.uniform_ints(lo, hi, n) == loop_reference(ref, lo, hi, n)
+        assert g.bytes(64) == ref.bytes(64)
+
+    @pytest.mark.parametrize("n", [0, 1, 4097])
+    def test_singleton_range_reads_nothing(self, n):
+        g = gen_of(12)
+        assert g.uniform_ints(-7, -7, n) == [-7] * n
+        assert g.bytes(64) == gen_of(12).bytes(64)
+
+    @pytest.mark.parametrize("n", [0, 5, -1])
+    def test_invalid_range_raises_even_when_nothing_is_drawn(self, n):
+        with pytest.raises(RangeError):
+            gen_of(1).uniform_ints(3, 2, n)
+
+    def test_negative_count_is_empty(self):
+        # as range(n) is in the loop
+        g = gen_of(14)
+        assert g.uniform_ints(0, 9, -3) == []
+        assert bytes_read(g) == 0
+
+
 class TestUniformFraction:
     def test_two_point_case(self):
         g = gen_of(7)
@@ -206,3 +252,19 @@ class TestLookAhead:
             needed = -(-n // 32)
             assert g._counter <= 2 * needed + 1
             assert g._counter <= needed + 64
+
+    @given(
+        bits=st.integers(min_value=1, max_value=600),
+        n=st.sampled_from((1, 4095, 4096, 4097, 10**4)),
+        seed_byte=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_draw_reads_no_further_than_the_loop(self, bits, n, seed_byte):
+        span = (1 << bits) + 1
+        g, ref = gen_of(seed_byte), gen_of(seed_byte)
+        g.uniform_ints(0, span - 1, n)
+        loop_reference(ref, 0, span - 1, n)
+        assert bytes_read(g) == bytes_read(ref)
+        needed = -(-bytes_read(g) // 32)
+        assert g._counter <= 2 * needed + 1
+        assert g._counter <= needed + 64

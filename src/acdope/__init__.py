@@ -1,26 +1,8 @@
 """Order-preserving encryption toolkit: a randomised approximate-common-
 divisor scheme, recursive-bisection order-preserving functions with Uniform
 and Beta midpoint samplers, distribution flattening, and the security /
-benchmark harness around them."""
+benchmark harness around them.
 
-from .gacd import SchemeParams, SecretKey, decrypt, encrypt, keygen, min_lambda
-from .opf import OpfKey, Sampler, make_opf_key, opf_decrypt, opf_encrypt
-from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
-
-__all__ = [
-    "DeterministicGenerator",
-    "OpfKey",
-    "Sampler",
-    "SchemeParams",
-    "SecretKey",
-    "Seed",
-    "decrypt",
-    "derive_seed",
-    "encrypt",
-    "fresh_seed",
-    "keygen",
-    "make_opf_key",
-    "min_lambda",
-    "opf_decrypt",
-    "opf_encrypt",
-]
+The package re-exports nothing: import names from their modules
+(acdope.gacd, acdope.opf, acdope.prng, ...), so that importing one module
+loads only what it needs."""

@@ -16,7 +16,7 @@ import sys
 import time
 from itertools import islice
 
-from . import gacd, keyfile, opf
+from . import keyfile
 from .errors import DomainError, ParameterError
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed, seed_from_material
 
@@ -49,35 +49,40 @@ def _resolve_seed(arg_seed):
 
 
 def _load_any_key(path):
+    """(scheme, key): the key in the key file at path and the module of the
+    scheme that its scheme= tag names.  Only that module is imported, so a
+    command loads one scheme."""
     tag, fields = keyfile.read(path)
-    if tag == gacd.KEY_FILE_SCHEME:
-        return gacd.key_from_fields(fields, path)
-    if tag == opf.KEY_FILE_SCHEME:
-        return opf.key_from_fields(fields, path)
-    raise keyfile.KeyFormatError(f"unrecognised key file {path!r}")
+    if tag == keyfile.GACD_SCHEME:
+        from . import gacd as scheme
+    elif tag == keyfile.OPF_SCHEME:
+        from . import opf as scheme
+    else:
+        raise keyfile.KeyFormatError(f"unrecognised key file {path!r}")
+    return scheme, scheme.key_from_fields(fields, path)
 
 
-def _encrypt_many(key, plaintexts, seed):
-    if isinstance(key, opf.OpfKey):
-        return opf.opf_encrypt_many(plaintexts, key)
+def _encrypt_many(scheme, key, plaintexts, seed):
+    if scheme.KEY_FILE_SCHEME == keyfile.OPF_SCHEME:
+        return scheme.opf_encrypt_many(plaintexts, key)
     # the noise stream is a child of the seed, never the stream keygen drew k from
     noise = DeterministicGenerator(derive_seed(seed, b"gacd/noise"))
-    return gacd.encrypt_many(plaintexts, key, noise)
+    return scheme.encrypt_many(plaintexts, key, noise)
 
 
-def _decrypt_many(key, cts):
-    if isinstance(key, opf.OpfKey):
-        return opf.opf_decrypt_many(cts, key)
-    return gacd.decrypt_many(cts, key)
+def _decrypt_many(scheme, key, cts):
+    if scheme.KEY_FILE_SCHEME == keyfile.OPF_SCHEME:
+        return scheme.opf_decrypt_many(cts, key)
+    return scheme.decrypt_many(cts, key)
 
 
-def _decrypt_prefix(key, cts):
+def _decrypt_prefix(scheme, key, cts):
     """The plaintexts of cts before the first one that fails to decrypt, and
     that failure (None if every one decrypts)."""
     try:
-        return _decrypt_many(key, cts), None
+        return _decrypt_many(scheme, key, cts), None
     except DomainError as exc:  # a batch call's error carries the bad value's `index`
-        return _decrypt_many(key, cts[:exc.index]), exc
+        return _decrypt_many(scheme, key, cts[:exc.index]), exc
 
 
 def _read_ints(path):
@@ -154,6 +159,8 @@ def cmd_keygen(args) -> int:
     seed = _resolve_seed(args.seed)
 
     if args.scheme == "gacd":
+        from . import gacd  # each scheme's module only where it is used
+
         lam = args.lam
         if lam is None:
             lam = gacd.min_lambda(M) if M >= 2 else 0  # validate_params reports M < 2
@@ -170,6 +177,8 @@ def cmd_keygen(args) -> int:
         key = gacd.keygen(params, DeterministicGenerator(seed))
         gacd.save_key(key, args.out)
     else:
+        from . import opf
+
         if M & (M - 1):
             print(f"error: scheme {args.scheme} needs a power-of-two M", file=sys.stderr)
             return EXIT_PARAMS
@@ -180,7 +189,7 @@ def cmd_keygen(args) -> int:
             key = opf.make_opf_key(
                 r_bits=M.bit_length() - 1, sampler=sampler, N=args.N, master_seed=seed
             )
-        except opf.DomainError as exc:
+        except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARAMS
         opf.save_key(key, args.out)
@@ -188,7 +197,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    key = _load_any_key(args.key)
+    scheme, key = _load_any_key(args.key)
     seed = _resolve_seed(args.seed)
 
     if args.random is not None:
@@ -201,7 +210,7 @@ def cmd_encrypt(args) -> int:
         plaintexts = _read_ints(source)
 
     try:
-        cts = _encrypt_many(key, plaintexts, seed)
+        cts = _encrypt_many(scheme, key, plaintexts, seed)
     except DomainError as exc:
         return _data_error(source, exc)
     _write_ints(args.out, cts)
@@ -209,9 +218,9 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    key = _load_any_key(args.key)
+    scheme, key = _load_any_key(args.key)
     try:
-        out = _decrypt_many(key, _read_ints(args.infile))
+        out = _decrypt_many(scheme, key, _read_ints(args.infile))
     except DomainError as exc:
         return _data_error(args.infile, exc)
     _write_ints(args.out, out)
@@ -219,15 +228,16 @@ def cmd_decrypt(args) -> int:
 
 
 def cmd_sort_verify(args) -> int:
-    key = _load_any_key(args.key)
+    scheme, key = _load_any_key(args.key)
     cts = _read_ints(args.infile)
 
+    plain_of = None
     if args.plain:
         sidecar = _read_ints(args.plain)
         if len(sidecar) != len(cts):
             print("error: sidecar length mismatch", file=sys.stderr)
             return EXIT_ORDER
-        ms, exc = _decrypt_prefix(key, cts)
+        ms, exc = _decrypt_prefix(scheme, key, cts)
         if ms != sidecar[:len(ms)]:
             # slow path, taken only to name the first mismatch
             i = next(i for i, (m, m_expected) in enumerate(zip(ms, sidecar)) if m != m_expected)
@@ -235,12 +245,18 @@ def cmd_sort_verify(args) -> int:
             return EXIT_ORDER
         if exc is not None:
             return _data_error(args.infile, exc)
+        # decryption is a pure function of the ciphertext: the order check
+        # reuses this pass instead of decrypting again
+        plain_of = dict(zip(cts, ms))
 
     t0 = time.perf_counter()
     cts.sort()
     sort_ms = (time.perf_counter() - t0) * 1e3
 
-    ms, exc = _decrypt_prefix(key, cts)
+    if plain_of is None:
+        ms, exc = _decrypt_prefix(scheme, key, cts)
+    else:
+        ms, exc = list(map(plain_of.__getitem__, cts)), None
     if not all(map(operator.le, ms, islice(ms, 1, None))):
         # slow path, taken only to name the first violation
         i = next(i for i in range(1, len(ms)) if ms[i] < ms[i - 1])

@@ -12,15 +12,15 @@ range, and the noise band keeps offsets above the attack threshold k^(3/4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import keyfile
 from .errors import DomainError, ParameterError
 from .prng import DeterministicGenerator
+from .record import Record
 
-KEY_FILE_SCHEME = "gacd-ope/1"
+KEY_FILE_SCHEME = keyfile.GACD_SCHEME
 
 #: Ciphertexts are opaque arbitrary-precision integers.
 Ciphertext = int
@@ -74,20 +74,25 @@ def beta0_bound(alpha0: Fraction) -> Fraction:
     return 1 - alpha0 / 2 - root
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    M: int
-    lam: int
-    n_hint: Optional[int] = None
+class SchemeParams(Record):
+    __slots__ = ("M", "lam", "n_hint")
+
+    def __init__(self, M: int, lam: int, n_hint: Optional[int] = None):
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "n_hint", n_hint)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    reasons: tuple = ()
-    warnings: tuple = ()
-    ciphertext_bits: int = 0
-    expansion_ratio: Optional[float] = None
+class ValidationReport(Record):
+    __slots__ = ("ok", "reasons", "warnings", "ciphertext_bits", "expansion_ratio")
+
+    def __init__(self, ok: bool, reasons: tuple = (), warnings: tuple = (),
+                 ciphertext_bits: int = 0, expansion_ratio: Optional[float] = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "ciphertext_bits", ciphertext_bits)
+        object.__setattr__(self, "expansion_ratio", expansion_ratio)
 
 
 def validate_params(params: SchemeParams) -> ValidationReport:
@@ -127,12 +132,17 @@ def validate_params(params: SchemeParams) -> ValidationReport:
     return ValidationReport(not reasons, tuple(reasons), tuple(warnings), bits, ratio)
 
 
-@dataclass(frozen=True)
-class SecretKey:
-    k: int
-    noise_lo: int
-    noise_hi: int
-    params: SchemeParams = field(repr=False)
+class SecretKey(Record):
+    __slots__ = ("k", "noise_lo", "noise_hi", "params")
+
+    def __init__(self, k: int, noise_lo: int, noise_hi: int, params: SchemeParams):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "noise_lo", noise_lo)
+        object.__setattr__(self, "noise_hi", noise_hi)
+        object.__setattr__(self, "params", params)
+
+    def __repr__(self):  # params left out
+        return f"SecretKey(k={self.k!r}, noise_lo={self.noise_lo!r}, noise_hi={self.noise_hi!r})"
 
     @property
     def M(self) -> int:

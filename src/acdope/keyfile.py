@@ -5,6 +5,12 @@ from __future__ import annotations
 
 from .errors import ParameterError
 
+#: The scheme= tags of the gacd and opf key files.  They live here so that
+#: the CLI can read a key file's tag before it imports the one scheme module
+#: that the tag names.
+GACD_SCHEME = "gacd-ope/1"
+OPF_SCHEME = "opf/1"
+
 
 class KeyFormatError(ParameterError):
     """A key file that is malformed or tagged for another scheme."""

@@ -22,15 +22,15 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
-from dataclasses import dataclass
 from typing import Optional
 
 from . import betadist, keyfile
 from .errors import DomainError
 from .keyfile import KeyFormatError
 from .prng import DeterministicGenerator, Seed, fresh_seed
+from .record import Record
 
-KEY_FILE_SCHEME = "opf/1"
+KEY_FILE_SCHEME = keyfile.OPF_SCHEME
 
 
 class Sampler(enum.Enum):
@@ -51,12 +51,14 @@ def reset_clamp_count() -> None:
     CLAMP_COUNT = 0
 
 
-@dataclass(frozen=True)
-class OpfKey:
-    master_seed: Seed
-    r_bits: int
-    N: int
-    sampler: Sampler
+class OpfKey(Record):
+    __slots__ = ("master_seed", "r_bits", "N", "sampler")
+
+    def __init__(self, master_seed: Seed, r_bits: int, N: int, sampler: Sampler):
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "r_bits", r_bits)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "sampler", sampler)
 
     @property
     def M(self) -> int:
@@ -86,12 +88,14 @@ def make_opf_key(
     return OpfKey(master_seed=master_seed, r_bits=r_bits, N=N, sampler=sampler)
 
 
-@dataclass(frozen=True)
-class RangeFrame:
-    a: int
-    b: int
-    fa: int
-    fb: int
+class RangeFrame(Record):
+    __slots__ = ("a", "b", "fa", "fb")
+
+    def __init__(self, a: int, b: int, fa: int, fb: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "fa", fa)
+        object.__setattr__(self, "fb", fb)
 
 
 def _encode_int(v: int) -> bytes:

@@ -24,8 +24,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .record import Record
 
 SEED_BYTES = 32
 STREAM_FORMAT = "sha256-ctr/1"
@@ -45,13 +46,13 @@ class PrecisionError(ValueError):
     """uniform_fraction called with precision_bits < 1."""
 
 
-@dataclass(frozen=True)
-class Seed:
-    data: bytes
+class Seed(Record):
+    __slots__ = ("data",)
 
-    def __post_init__(self):
-        if len(self.data) != SEED_BYTES:
-            raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(self.data)}")
+    def __init__(self, data: bytes):
+        if len(data) != SEED_BYTES:
+            raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(data)}")
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def from_hex(cls, text: str) -> "Seed":

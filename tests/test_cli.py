@@ -246,6 +246,42 @@ class TestSortVerify:
         assert out.startswith("ok: 200 ciphertexts")
         assert "sort" in out
 
+    @pytest.mark.parametrize("key_name", ["gacd_key", "beta_key"])
+    def test_plain_decrypts_each_ciphertext_once(self, tmp_path, key_name, request,
+                                                 monkeypatch, capsys):
+        key = request.getfixturevalue(key_name)
+        ct = self.make_batch(tmp_path, key, n=40)
+        decrypt_many, received = cli._decrypt_many, []
+
+        def counting(*args):
+            received.append(len(args[-1]))
+            return decrypt_many(*args)
+
+        monkeypatch.setattr(cli, "_decrypt_many", counting)
+        assert run("sort-verify", "--key", key, "--in", ct, "--plain", ct + ".plain") == 0
+        assert sum(received) == 40
+        assert capsys.readouterr().out.startswith(
+            "ok: 40 ciphertexts, plaintext order verified, sort ")
+
+    def test_plain_order_check_sees_sorted_order(self, tmp_path, gacd_key, monkeypatch, capsys):
+        # a decryption that is a pure function of c but not monotone, with a
+        # sidecar that agrees with it: only the order check can catch it
+        ct = self.make_batch(tmp_path, gacd_key, n=40)
+        decrypt_many = cli._decrypt_many
+
+        def scrambled(*args):
+            return [m * 37 % 128 for m in decrypt_many(*args)]
+
+        monkeypatch.setattr(cli, "_decrypt_many", scrambled)
+        plains = [int(m) for m in open(ct + ".plain").read().split()]
+        with open(ct + ".plain", "w") as fh:
+            fh.write("".join(f"{m * 37 % 128}\n" for m in plains))
+        ordered = [m * 37 % 128 for m in sorted(plains)]
+        i = next(i for i in range(1, len(ordered)) if ordered[i] < ordered[i - 1])
+        rc = run("sort-verify", "--key", gacd_key, "--in", ct, "--plain", ct + ".plain")
+        assert rc == cli.EXIT_ORDER
+        assert capsys.readouterr().err == f"error: order violation at sorted index {i}\n"
+
     def test_shuffled_sidecar_fails_order(self, tmp_path, gacd_key, capsys):
         ct = self.make_batch(tmp_path, gacd_key)
         plains = open(ct + ".plain").read().splitlines()
@@ -270,8 +306,8 @@ class TestSortVerify:
         assert run("encrypt", "--key", gacd_key, "--in", plain, "--seed", SEED, "--out", ct) == 0
         decrypt_many = cli._decrypt_many
 
-        def swapped(key, cts):
-            ms = decrypt_many(key, cts)
+        def swapped(scheme, key, cts):
+            ms = decrypt_many(scheme, key, cts)
             ms[5], ms[6] = ms[6], ms[5]
             return ms
 
@@ -704,14 +740,35 @@ def _fresh_python(*args):
                           capture_output=True, text=True)
 
 
-def test_import_does_not_load_scipy():
-    code = "import sys, acdope.cli; sys.exit(int('scipy' in sys.modules))"
-    assert _fresh_python("-c", code).returncode == 0
+#: Modules that importing acdope.cli must not load: test oracles, the modules
+#: of the commands that import their own, and both schemes.
+NOT_AT_START = ("scipy", "mpmath", "statistics", "dataclasses", "acdope.analysis",
+                "acdope.bench", "acdope.gacd", "acdope.opf", "acdope.betadist")
 
 
-def test_import_does_not_load_mpmath():
-    code = "import sys, acdope.cli; sys.exit(int('mpmath' in sys.modules))"
-    assert _fresh_python("-c", code).returncode == 0
+@pytest.mark.parametrize("module", NOT_AT_START)
+def test_import_does_not_load(module):
+    code = f"import sys, acdope.cli; sys.exit(int({module!r} in sys.modules))"
+    result = _fresh_python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("scheme, not_loaded", [
+    ("gacd", {"acdope.opf", "acdope.betadist"}),
+    ("opf-beta", {"acdope.gacd"}),
+], ids=["gacd", "opf-beta"])
+def test_encrypt_loads_only_its_scheme(tmp_path, scheme, not_loaded):
+    key, plain, ct = tmp_path / "k.key", tmp_path / "p.txt", tmp_path / "c.txt"
+    assert run("keygen", "--scheme", scheme, "--rho", "7", "--seed", SEED, "--out", str(key)) == 0
+    plain.write_text("".join(f"{m}\n" for m in range(0, 128, 9)))
+    result = _fresh_python("-X", "importtime", "-m", "acdope.cli", "encrypt", "--key", str(key),
+                           "--in", str(plain), "--seed", SEED, "--out", str(ct))
+    assert result.returncode == 0, result.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert f"acdope.{scheme.partition('-')[0]}" in loaded
+    assert not loaded & not_loaded
+    assert len(ct.read_text().split()) == 15
 
 
 def test_opf_beta_runs_without_mpmath(tmp_path):
@@ -747,14 +804,6 @@ def test_opf_beta_runs_without_mpmath(tmp_path):
     cts = [int(line) for line in (tmp_path / "c.txt").read_text().split()]
     assert cts == opf.opf_encrypt_many(ms, key)
     assert [int(line) for line in (tmp_path / "d.txt").read_text().split()] == ms
-
-
-def test_import_does_not_load_analyze_or_bench_modules():
-    code = ("import sys, acdope.cli; print([m for m in "
-            "('acdope.analysis', 'acdope.bench', 'statistics') if m in sys.modules])")
-    result = _fresh_python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
 
 
 def test_window_experiment_script_runs():
@@ -808,7 +857,7 @@ def test_cli_and_load_key_accept_the_same_key_files(tmp_path, content):
     path.write_bytes(content)
     load_key = opf.load_key if b"scheme=opf/" in content else gacd.load_key
     keys = []
-    for load in (load_key, cli._load_any_key):
+    for load in (load_key, lambda path: cli._load_any_key(path)[1]):
         try:
             keys.append(load(path))
         except errors.ParameterError:

@@ -6,15 +6,17 @@ without ever materialising it.  Encryption bisects the domain; each frame
 midpoint image f((a+b)/2) = f(a) + z with z in [0, f(b) - f(a)], and recurses
 into the half containing the plaintext.  Decryption replays exactly the same
 frames and pseudorandom choices, so it reconstructs the identical f values
-and walks down to the preimage.  opf_encrypt_many and opf_decrypt_many do
-the same for a batch, visiting it in sorted order so that a frame shared by
-neighbouring values is drawn once.
+and walks down to the preimage.  There is one encrypt walk and one decrypt
+walk, each fed by a midpoint lookup: opf_encrypt and opf_decrypt give it a
+fresh lookup (which can trace every frame), while opf_encrypt_many and
+opf_decrypt_many keep one lookup across the batch in sorted order, so that a
+frame shared by neighbouring values is drawn once.
 
 Two midpoint samplers are supported.  "uniform" draws z uniformly (the
 CryptDB-style ope-exp baseline; it deliberately ignores the tail condition
 and is kept as a labelled baseline only).  "beta" draws z = floor(y * w) with
 w ~ Beta(h, h+1) for half-width h, clamped into [y/4, 3y/4] so the subrange
-cannot collapse (the clamp count is tracked in CLAMP_COUNT).
+cannot collapse.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ class Sampler(enum.Enum):
 
 class NotACiphertextError(DomainError):
     """Value is not in the image of this key's order-preserving function."""
-
-
-#: Number of beta-mode midpoint draws clamped into [y/4, 3y/4] so far.
-CLAMP_COUNT = 0
-
-
-def reset_clamp_count() -> None:
-    global CLAMP_COUNT
-    CLAMP_COUNT = 0
 
 
 class OpfKey(Record):
@@ -138,7 +131,6 @@ def sample_mid(
 ) -> int:
     """Midpoint offset z in [0, y] for a subdomain of width a with relative
     midpoint x.  Beta mode clamps into [y/4, 3y/4] (tail condition)."""
-    global CLAMP_COUNT
     if y < 1:
         raise DomainError("degenerate range: y must be >= 1")
     if sampler is Sampler.UNIFORM:
@@ -148,10 +140,7 @@ def sample_mid(
     lo, hi = -(-y // 4), (3 * y) // 4
     if lo > hi:  # y <= 3: the tail window is empty, nothing to clamp into
         return z
-    if z < lo or z > hi:
-        CLAMP_COUNT += 1
-        z = min(max(z, lo), hi)
-    return z
+    return min(max(z, lo), hi)
 
 
 def _midpoint_value(key: OpfKey, frame: RangeFrame, prec: int) -> int:
@@ -164,69 +153,63 @@ def _midpoint_value(key: OpfKey, frame: RangeFrame, prec: int) -> int:
     return frame.fa + z
 
 
-def opf_encrypt(m: int, key: OpfKey, trace: Optional[list] = None) -> int:
-    """Deterministic ciphertext f(m) in [1, N]; nondecreasing in m."""
+def _encrypt_walk(m: int, key: OpfKey, f0: int, fM: int, mid) -> int:
+    """f(m), descending through the frames that the lookup mid gives."""
     M = key.M
     if not 0 <= m <= M:
         raise DomainError(f"plaintext {m} outside [0, {M}]")
-    f0, fM = init_endpoints(key)
     if m == 0:
         return f0
     if m == M:
         return fM
-    prec = _beta_precision(key)
-    a, b, fa, fb = 0, M, f0, fM
+    a, b, fa, fb, depth = 0, M, f0, fM, 0
     while True:
-        frame = RangeFrame(a, b, fa, fb)
-        fx = _midpoint_value(key, frame, prec)
+        fx = mid(depth, a, b, fa, fb)
         x = (a + b) // 2
-        if trace is not None:
-            trace.append((frame, fx))
         if x == m:
             return fx
         if m < x:
             b, fb = x, fx
         else:
             a, fa = x, fx
+        depth += 1
 
 
-def opf_decrypt(c: int, key: OpfKey, trace: Optional[list] = None) -> int:
-    """Preimage of c under the key's function, by bit-exact replay."""
+def _decrypt_walk(c: int, key: OpfKey, f0: int, fM: int, mid) -> int:
+    """Preimage of c, replaying the frames that the lookup mid gives."""
     M, N = key.M, key.N
     if not 1 <= c <= N:
         raise DomainError(f"ciphertext {c} outside [1, {N}]")
-    f0, fM = init_endpoints(key)
     if c == f0:
         return 0
     if c == fM:
         return M
     if not f0 < c < fM:
         raise NotACiphertextError(f"{c} outside the image interval [{f0}, {fM}]")
-    prec = _beta_precision(key)
-    a, b, fa, fb = 0, M, f0, fM
+    a, b, fa, fb, depth = 0, M, f0, fM, 0
     while True:
         if b - a == 1:
             raise NotACiphertextError(f"{c} falls in a gap of the function image")
-        frame = RangeFrame(a, b, fa, fb)
-        fx = _midpoint_value(key, frame, prec)
+        fx = mid(depth, a, b, fa, fb)
         x = (a + b) // 2
-        if trace is not None:
-            trace.append((frame, fx))
         if fx == c:
             return x
         if c < fx:
             b, fb = x, fx
         else:
             a, fa = x, fx
+        depth += 1
 
 
-def _shared_midpoints(key: OpfKey):
-    """Midpoint lookup for a batch of descents made in sorted order.
+def _shared_midpoints(key: OpfKey, trace: Optional[list] = None):
+    """Midpoint lookup for descents made in sorted order.
 
     A node's frame is fixed by (a, b), so consecutive descents share the top
     of their paths.  The lookup keeps the previous descent, one (a, b, fx)
     per depth, and computes a frame only where (a, b) differs from it; below
     the first difference the kept entries are dropped.  Memory stays O(depth).
+    With trace, each frame computed is appended as (RangeFrame, fx); a fresh
+    lookup computes every frame its one descent visits.
     """
     prec = _beta_precision(key)
     path = []
@@ -237,99 +220,60 @@ def _shared_midpoints(key: OpfKey):
             if pa == a and pb == b:
                 return fx
             del path[depth:]
-        fx = _midpoint_value(key, RangeFrame(a, b, fa, fb), prec)
+        frame = RangeFrame(a, b, fa, fb)
+        fx = _midpoint_value(key, frame, prec)
         path.append((a, b, fx))
+        if trace is not None:
+            trace.append((frame, fx))
         return fx
 
     return mid
 
 
-def _sorted_positions(values: list) -> list:
-    return sorted(range(len(values)), key=values.__getitem__)
+def opf_encrypt(m: int, key: OpfKey, trace: Optional[list] = None) -> int:
+    """Deterministic ciphertext f(m) in [1, N]; nondecreasing in m."""
+    return _encrypt_walk(m, key, *init_endpoints(key), _shared_midpoints(key, trace))
 
 
-def opf_encrypt_many(ms: list, key: OpfKey) -> list:
-    """[opf_encrypt(m, key) for m in ms], visiting the plaintexts in sorted
-    order so that each shared frame is drawn once.  On a plaintext outside
-    [0, M] the DomainError of the first one in input order is raised, with
-    its position in ms as the attribute `index`."""
-    M = key.M
-    for i, m in enumerate(ms):
-        if not 0 <= m <= M:
-            exc = DomainError(f"plaintext {m} outside [0, {M}]")
-            exc.index = i
-            raise exc
+def opf_decrypt(c: int, key: OpfKey, trace: Optional[list] = None) -> int:
+    """Preimage of c under the key's function, by bit-exact replay."""
+    return _decrypt_walk(c, key, *init_endpoints(key), _shared_midpoints(key, trace))
+
+
+def _walk_sorted(values: list, key: OpfKey, walk) -> list:
+    """[walk(v, ...) for v in values] over one shared lookup, visiting the
+    values in sorted order.  If any value fails, the error of the first
+    failing one in input order is raised, with its position in values as the
+    attribute `index`."""
     f0, fM = init_endpoints(key)
     mid = _shared_midpoints(key)
-
-    def encrypt(m: int) -> int:
-        if m == 0:
-            return f0
-        if m == M:
-            return fM
-        a, b, fa, fb, depth = 0, M, f0, fM, 0
-        while True:
-            fx = mid(depth, a, b, fa, fb)
-            x = (a + b) // 2
-            if x == m:
-                return fx
-            if m < x:
-                b, fb = x, fx
-            else:
-                a, fa = x, fx
-            depth += 1
-
-    out = [0] * len(ms)
-    for i in _sorted_positions(ms):
-        out[i] = encrypt(ms[i])
-    return out
-
-
-def opf_decrypt_many(cs: list, key: OpfKey) -> list:
-    """[opf_decrypt(c, key) for c in cs], visiting the ciphertexts in sorted
-    order so that each shared frame is drawn once.  If any ciphertext fails,
-    the error that opf_decrypt raises on the first failing one in input order
-    is raised, with its position in cs as the attribute `index`."""
-    M, N = key.M, key.N
-    f0, fM = init_endpoints(key)
-    mid = _shared_midpoints(key)
-
-    def decrypt(c: int) -> int:
-        if not 1 <= c <= N:
-            raise DomainError(f"ciphertext {c} outside [1, {N}]")
-        if c == f0:
-            return 0
-        if c == fM:
-            return M
-        if not f0 < c < fM:
-            raise NotACiphertextError(f"{c} outside the image interval [{f0}, {fM}]")
-        a, b, fa, fb, depth = 0, M, f0, fM, 0
-        while True:
-            if b - a == 1:
-                raise NotACiphertextError(f"{c} falls in a gap of the function image")
-            fx = mid(depth, a, b, fa, fb)
-            x = (a + b) // 2
-            if fx == c:
-                return x
-            if c < fx:
-                b, fb = x, fx
-            else:
-                a, fa = x, fx
-            depth += 1
-
-    out = [0] * len(cs)
+    out = [0] * len(values)
     failure = None
-    for i in _sorted_positions(cs):
+    for i in sorted(range(len(values)), key=values.__getitem__):
         if failure is not None and i > failure.index:
             continue  # cannot be the first failure in input order
         try:
-            out[i] = decrypt(cs[i])
+            out[i] = walk(values[i], key, f0, fM, mid)
         except DomainError as exc:
             exc.index = i
             failure = exc
     if failure is not None:
         raise failure
     return out
+
+
+def opf_encrypt_many(ms: list, key: OpfKey) -> list:
+    """[opf_encrypt(m, key) for m in ms], drawing each frame the sorted
+    plaintexts share once.  The first plaintext outside [0, M] in input
+    order raises, with its position in ms as `index`."""
+    return _walk_sorted(ms, key, _encrypt_walk)
+
+
+def opf_decrypt_many(cs: list, key: OpfKey) -> list:
+    """[opf_decrypt(c, key) for c in cs], drawing each frame the sorted
+    ciphertexts share once.  The first failing ciphertext in input order
+    raises opf_decrypt's error, with its position in cs as `index`."""
+    return _walk_sorted(cs, key, _decrypt_walk)
 
 
 def save_key(key: OpfKey, path: str) -> None:

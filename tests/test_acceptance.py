@@ -104,7 +104,7 @@ def test_05_window_attack_success_rates():
     report(5, ok)
 
 
-def test_06_opf_determinism_and_replay():
+def test_06_opf_determinism_and_replay(tmp_path):
     ok = True
     keys = [
         opf.make_opf_key(7, opf.Sampler.UNIFORM, N=2**20, master_seed=seed_of(7)),
@@ -114,6 +114,10 @@ def test_06_opf_determinism_and_replay():
         cts = [opf.opf_encrypt(m, key) for m in range(key.M + 1)]
         # bit-stable: a second pass and a key reloaded from disk agree
         ok &= cts == [opf.opf_encrypt(m, key) for m in range(key.M + 1)]
+        path = str(tmp_path / f"{key.sampler.value}.key")
+        opf.save_key(key, path)
+        reloaded = opf.load_key(path)
+        ok &= [opf.opf_encrypt(m, reloaded) for m in range(key.M + 1)] == cts
         ok &= all(b >= a for a, b in zip(cts, cts[1:]))
         for m in (0, 1, 64, 77, 127, 128):
             enc_tr, dec_tr = [], []

@@ -112,26 +112,32 @@ class TestSampleMid:
         total = sum(opf.sample_mid(g, y, 4, 8, opf.Sampler.BETA) for _ in range(n))
         assert abs(total / (n * y) - 4 / 9) < 0.02
 
-    def test_beta_clamped_into_tail_window(self):
-        # Beta(1, 2) puts ~44% of its mass below 1/4, so clamps must fire
-        opf.reset_clamp_count()
+    def test_beta_clamped_into_tail_window(self, monkeypatch):
+        # Beta(1, 2) puts ~44% of its mass below 1/4, so clamps must fire; a
+        # draw was clamped iff sample_mid moved it off floor(y * w)
+        draws = []
+        real = opf.betadist.beta_icdf_bits
+
+        def recording(*args):
+            draws.append(real(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(opf.betadist, "beta_icdf_bits", recording)
         g = gen_of(48)
         y = 1000
         lo, hi = -(-y // 4), (3 * y) // 4
+        clamps = 0
         for _ in range(200):
             z = opf.sample_mid(g, y, 1, 2, opf.Sampler.BETA)
             assert lo <= z <= hi
-        assert opf.CLAMP_COUNT > 50
+            clamps += z != (y * draws[-1]) >> 64
+        assert clamps > 50
 
     def test_tiny_range_skips_clamp(self):
         # y <= 3 leaves no room for the tail window
         g = gen_of(49)
         for _ in range(50):
             assert 0 <= opf.sample_mid(g, 2, 1, 2, opf.Sampler.BETA) <= 2
-
-    def test_reset_clamp_count(self):
-        opf.reset_clamp_count()
-        assert opf.CLAMP_COUNT == 0
 
 
 class TestEncrypt:
@@ -176,6 +182,25 @@ class TestEncrypt:
         assert len(trace) == key.r_bits
         first_frame, _ = trace[0]
         assert (first_frame.a, first_frame.b) == (0, key.M)
+
+    def test_trace_lists_collapsed_frames(self):
+        # this uniform key flattens the subrange above m = 56, so the last
+        # three frames of the descent to 57 have fa == fb and draw nothing;
+        # the trace still lists them, each the half of its parent holding m
+        key = opf.make_opf_key(7, opf.Sampler.UNIFORM, N=2**20, master_seed=seed_of(33))
+        trace = []
+        c = opf.opf_encrypt(57, key, trace=trace)
+        assert len(trace) == key.r_bits
+        assert sum(fr.fa == fr.fb for fr, _ in trace) == 3
+        a, b, fa, fb = 0, key.M, *opf.init_endpoints(key)
+        for fr, fx in trace:
+            assert (fr.a, fr.b, fr.fa, fr.fb) == (a, b, fa, fb)
+            x = (a + b) // 2
+            if 57 < x:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
+        assert trace[-1][1] == c
 
 
 # (plaintext, ciphertext) pairs under GOLDEN_KEY_SEED at rho = 15 and 31
@@ -293,7 +318,8 @@ def batch_case(draw, max_r_bits=15):
 
 
 class TestBatch:
-    """The batch path against the single-op reference."""
+    """Batches, which share one midpoint lookup across their sorted values,
+    against single-value descents, which share nothing."""
 
     @given(case=batch_case(), data=st.data())
     @settings(max_examples=40, deadline=None)

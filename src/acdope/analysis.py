@@ -160,21 +160,21 @@ def window_success_rate(
     Each trial keys a fresh scheme, encrypts n uniform plaintexts plus a
     uniform challenge, runs window_attack and scores a hit when the true
     plaintext lies within radius(m) of the estimate.  Trials use derived
-    seeds, so batches are reproducible and embarrassingly parallel.
+    seeds, so batches are reproducible and embarrassingly parallel; within a
+    trial the key, the plaintexts and the noise each come from their own
+    child of the trial's seed, as in the CLI.
     """
     if lam is None:
         lam = gacd.min_lambda(M)
     params = gacd.SchemeParams(M=M, lam=lam)
     hits = 0
     for t in range(trials):
-        gen = DeterministicGenerator(derive_seed(seed, b"window-trial-%d" % t))
-        key = gacd.keygen(params, gen)
-        sample_cts = sorted(
-            gacd.encrypt(gen.uniform_int(0, M - 1), key, gen) for _ in range(n)
-        )
-        m = gen.uniform_int(0, M - 1)
-        c = gacd.encrypt(m, key, gen)
-        est = window_attack(c, SortedSample(tuple(sample_cts), M))
+        trial = derive_seed(seed, b"window-trial-%d" % t)
+        key = gacd.keygen(params, DeterministicGenerator(derive_seed(trial, b"key")))
+        ms = DeterministicGenerator(derive_seed(trial, b"plain")).uniform_ints(0, M - 1, n + 1)
+        cts = gacd.encrypt_many(ms, key, DeterministicGenerator(derive_seed(trial, b"gacd/noise")))
+        m, c = ms.pop(), cts.pop()  # the challenge
+        est = window_attack(c, SortedSample(tuple(sorted(cts)), M))
         if abs(m - est.m_hat) < radius(m):
             hits += 1
     return hits / trials

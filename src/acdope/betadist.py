@@ -5,14 +5,21 @@ binomial tail
 
     I_z(x, b) = sum_{j=x}^{d} C(d, j) z^j (1-z)^(d-j),   d = x + b - 1,
 
-which we evaluate exactly in integer arithmetic for dyadic z.  Inversion is
-pinned to the dyadic grid: the draw for target u is the largest multiple w of
-2^-prec with I_w(x, b) <= u, so the result is independent of how the search
-for it was seeded.  The search needs only the standard library: Newton's
-method in floating point on log I against log z gives a guess good to about
-2^-50, Newton steps on the grid (one exact CDF evaluation each; one step at
-64 bits, two at 126) bring it within an ulp, and two exact comparisons pin
-the grid point, with bisection as the fallback.
+which we can evaluate exactly in integer arithmetic for dyadic z.  Inversion
+is pinned to the dyadic grid: the draw for target u is the largest multiple w
+of 2^-prec with I_w(x, b) <= u, so the result is independent of how the
+search for it was seeded.  The search needs only the standard library:
+Newton's method in floating point on log I against log z gives a guess good
+to about 2^-50, and Newton steps on the grid (one CDF evaluation each; one
+step at 64 bits, two at 126) bring it within an ulp.  The evaluation at the
+last point pins it: u - I lies below a lower bound on the CDF's rise to the
+next grid point.  Where it does not, comparisons pin the grid point, with
+bisection as the fallback.  Where the exact numerator would be
+_FIXED_MIN_BITS wide or more, each evaluation is instead done in truncated
+fixed point at prec + 32 bits, with a relative error bound that holds
+because every term of the tail it sums is positive; a comparison the bound
+cannot separate falls back to the exact one, so every draw is the one exact
+arithmetic gives.
 
 When the polynomial degree exceeds EXACT_DEGREE_LIMIT, exact evaluation is
 intractable and we substitute the normal law with the Beta's exact mean
@@ -40,6 +47,15 @@ _GUESS_MAX_STEPS = 64
 # Above this many bits, 2^-prec and 2^prec leave the range of a double, and
 # the search falls back to bisection over the grid.
 _FLOAT_PREC_LIMIT = 1000
+# Below this width prec*d of the exact CDF numerator, it costs no more than
+# the fixed-point pass.  The two break even near d = 30 at 64 bits, d = 18 at
+# 126 and d = 10 at 254; at 64 bits and d = 128 the numerator costs 70 us
+# against 15.
+_FIXED_MIN_BITS = 2048
+# Fractional bits of the fixed-point pass beyond prec.  At d <= 128 its error
+# stays below 2^(10-_GUARD_BITS) of the CDF's rise over one grid step, so
+# about one comparison in 2^22 next to a pinned point falls back to exact.
+_GUARD_BITS = 32
 _LN2 = log(2)
 _SQRT2 = sqrt(2)
 _LN_SQRT_2PI = 0.5 * log(2 * pi)
@@ -74,7 +90,8 @@ def _cdf_num(x: int, b: int, wn: int, prec: int) -> int:
 
 
 def _cdf_leq(x: int, b: int, wn: int, prec: int, un: int) -> bool:
-    """I_{wn/2^prec}(x, b) <= un/2^prec, exactly, without huge Fractions."""
+    """I_{wn/2^prec}(x, b) <= un/2^prec, decided on the exact numerator: the
+    reference for every comparison, and the fallback of the fixed-point one."""
     if wn <= 0:
         return un >= 0
     D = 1 << prec
@@ -82,6 +99,115 @@ def _cdf_leq(x: int, b: int, wn: int, prec: int, un: int) -> bool:
         return un >= D
     # total / D^d <= un / D  <=>  total <= un * D^(d-1)
     return _cdf_num(x, b, wn, prec) <= un << (prec * (x + b - 2))
+
+
+def _pow_fixed(a: int, n: int, Q: int) -> tuple:
+    """a^n, for 0 < a < 2^Q, as (m, e, k): m 2^e <= a^n < m 2^e / (1 - k 2^(1-Q)).
+
+    Binary powering that truncates to Q bits after each square (and multiply
+    by the exact a).  A truncated m has Q bits, so it loses less than
+    2^(1-Q) of itself, and a square doubles the relative loss so far: k
+    follows both, k -> 2k + 1 on a truncating step and k -> 2k on another."""
+    if not n:
+        return 1, 0, 0
+    m = a
+    e = k = 0
+    for bit in bin(n)[3:]:
+        m *= m
+        e += e
+        k += k
+        if bit == "1":
+            m *= a
+        s = m.bit_length() - Q
+        if s > 0:
+            m >>= s
+            e += s
+            k += 1
+    return m, e, k
+
+
+def _tail_fixed(x: int, d: int, wn: int, wc: int, prec: int) -> tuple:
+    """T = sum_{j=x}^{d} C(d, j) w^j (1-w)^(d-j) for w = wn/2^prec, with
+    wc = 2^prec - wn and 0 < x <= d, 0 < wn < 2^prec, in truncated fixed point
+    at Q = prec + _GUARD_BITS bits: (a, err, F, dens) with
+
+        a / 2^F  <=  T  <=  (a + err) / 2^F,   dens <= g(w) 2^F,
+
+    where g = x C(d, x) w^(x-1) (1-w)^(d-x) is the density at w of the
+    Beta(x, d-x+1) law, whose CDF T is; dens comes from the same truncated
+    powers, each low.
+
+    T = w^x (1-w)^(d-x) S(t) with S(t) = sum_i C(d, x+i) t^i and t = w/(1-w).
+    Every step truncates, so each quantity is low by a relative amount, and
+    as every term is positive those amounts add up, in units of 2^-Q:
+      - Horner for S: t, truncated to a Q-bit mantissa, is low by less than
+        2, which each of the d - x steps carries on to S; each step also
+        truncates at Q fractional bits a sum of at least C(d, j), and these
+        floors total less than sum_j 1/C(d, j) <= 1;
+      - the two powers: 2k each, with k from _pow_fixed.
+    Their product a is exact, so T's relative shortfall delta is below
+    K 2^-Q, K = 2(d-x+k1+k2) + 1, and T <= (a/2^F)/(1 - delta), where
+    1/(1 - delta) - 1 <= delta + 2 delta^2 < (K + 1) 2^-Q while 2K^2 < 2^Q
+    (k <= n - 1 in _pow_fixed, so K < 4d)."""
+    Q = prec + _GUARD_BITS
+    sh = Q + prec - wn.bit_length()
+    t = (wn << sh) // wc  # >= 2^(Q-1), since wc < 2^prec
+    row = _binomial_row(d)
+    s = 1 << Q  # C(d, d)
+    for c in row[d - 1 : x - 1 : -1]:
+        s = (s * t >> sh) + (c << Q)
+    m1, e1, k1 = _pow_fixed(wn, x, Q)
+    m2, e2, k2 = _pow_fixed(wc, d - x, Q)
+    p = m1 * m2  # 2^(prec*d - e1 - e2) w^x (1-w)^(d-x), low
+    a = p * s
+    dens = (x * row[x] * p << (prec + Q)) // wn
+    return a, (a * (2 * (d - x + k1 + k2) + 2) >> Q) + 1, prec * d + Q - e1 - e2, dens
+
+
+def _cdf_gap(x: int, b: int, wn: int, prec: int, un: int) -> tuple:
+    """(u - I_w(x, b)) 2^(prec + F) for w = wn/2^prec, u = un/2^prec and
+    0 < wn < 2^prec, as (gap, width, F, rise): the value lies in
+    [gap, gap + width], and rise is at most the rise of I from w to the next
+    grid point, in the same units.
+
+    Below _FIXED_MIN_BITS it is exact (width 0).  From there it comes from
+    _tail_fixed on the tail that holds less than the density allows for: the
+    lower one up to the mode (x-1)/(d-1) and the upper one, through
+    I_w(x, b) = 1 - I_{1-w}(b, x), beyond it.  The density is monotone on
+    either side of the mode, so that tail is at most f(w) times the distance
+    to its end, and the error of its sum stays below about 2^(10-_GUARD_BITS)
+    of f(w)/2^prec, the rise of the CDF over one grid step, however small
+    the density gets.
+
+    The density f is unimodal, so over [w, w + 2^-prec] it stays above the
+    smaller of its values at the two ends, and f(w + 2^-prec) / f(w) is at
+    least (1 - 1/wc)^(b-1) >= 1 - (b-1)/wc, with wc = 2^prec - wn.  rise is
+    f(w) 2^F times that factor, from below."""
+    d = x + b - 1
+    D = 1 << prec
+    wc = D - wn
+    if prec * d < _FIXED_MIN_BITS:
+        F = prec * (d - 1)
+        gap, width = (un << F) - _cdf_num(x, b, wn, prec), 0
+        dens = x * _binomial_row(d)[x] * wn ** (x - 1) * wc ** (b - 1)  # f(w) 2^F
+    elif wn * (d - 1) <= (x - 1) * D:
+        a, width, F, dens = _tail_fixed(x, d, wn, wc, prec)
+        gap = (un << F) - ((a + width) << prec)
+    else:
+        a, width, F, dens = _tail_fixed(b, d, wc, wn, prec)
+        gap = (a << prec) - ((D - un) << F)
+    return gap, width << prec, F, dens - dens * (b - 1) // wc - 1
+
+
+def _cdf_leq_fast(x: int, b: int, wn: int, prec: int, un: int) -> bool:
+    """_cdf_leq's answer, from a _cdf_gap pass when its interval excludes 0
+    and from _cdf_leq itself otherwise (Ziv's scheme), for wn < 2^prec."""
+    if wn <= 0:
+        return True
+    gap, width, _, _ = _cdf_gap(x, b, wn, prec, un)
+    if gap >= 0 or gap + width < 0:
+        return gap >= 0
+    return _cdf_leq(x, b, wn, prec, un)
 
 
 def _quantile_guess(x: int, b: int, v: float) -> float:
@@ -121,10 +247,15 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
 
     The float guess solves the tail that holds the target (the upper one
     through I_z(x, b) = 1 - I_{1-z}(b, x)), so it stays accurate in relative
-    terms on both sides.  While its predicted error exceeds half an ulp, a
-    Newton step on the grid, one exact CDF evaluation each, refines it; the
-    predicted error after a step of s ulps is |f'/f| s^2 / (2 * 2^prec) plus
-    the float rounding of s.  Two exact comparisons then pin the grid point.
+    terms on both sides.  Each _cdf_gap pass on the grid first tries to pin
+    its point: it is the draw when u - I lies between 0 and the pass's lower
+    bound on the rise of I to the next grid point.  Otherwise, while the
+    predicted error exceeds half an ulp, the pass's u - I (whose fixed-point
+    error is far below the float rounding of the step) gives a Newton step;
+    the predicted error after a step of s ulps is |f'/f| s^2 / (2 * 2^prec)
+    plus that rounding.  A point no pass pinned is pinned by comparisons,
+    each decided by a _cdf_gap pass whose interval excludes 0 and otherwise
+    by the exact _cdf_leq, so the draw is what exact arithmetic makes it.
     """
     D = 1 << prec
     if un <= 0:
@@ -138,19 +269,23 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
         q = _quantile_guess(b, x, (D - un) / D)
         wn = D - 1 - int(q * D)
     d = x + b - 1
-    shift = prec * (d - 1)
     log_norm = log(x * _binomial_row(d)[x])  # log 1/B(x, b)
     err = ldexp(q, prec - 42)  # in ulps: the guess is good to ~2^-50
-    for _ in range(2 + prec // 40):
-        if err < 0.5 or not 0 < wn < D:
+    for _ in range(3 + prec // 40):
+        if not 0 < wn < D:
+            break
+        gap, width, F, rise = _cdf_gap(x, b, wn, prec, un)
+        if 0 <= gap and gap + width < rise:
+            return wn  # I_w <= u < I_{w + 2^-prec}
+        if err < 0.5:
             break
         z, zc = wn / D, (D - wn) / D
         pdf = exp(log_norm + (x - 1) * log(z) + (b - 1) * log(zc))
-        step = ((un << shift) - _cdf_num(x, b, wn, prec)) / (1 << shift) / pdf
+        step = gap / (1 << F) / pdf
         wn += floor(step)
         curvature = abs((x - 1) / z - (b - 1) / zc)
         err = 4 * (curvature * step * step / (2 * D) + abs(step) * 2.0**-52)
-    return _pin(lambda w: _cdf_leq(x, b, w, prec, un), wn, D)
+    return _pin(lambda w: _cdf_leq_fast(x, b, w, prec, un), wn, D)
 
 
 def _pin(leq, wn: int, D: int) -> int:

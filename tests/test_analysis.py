@@ -245,6 +245,33 @@ class TestWindowSuccessRate:
         )
         assert 0.0 <= rate <= 1.0
 
+    def test_trial_streams_are_separate(self, monkeypatch):
+        # the key, the plaintexts and the noise of a trial each come from
+        # their own seed; told apart by the range each draw is made from
+        seeds = {}
+
+        class Recording(analysis.DeterministicGenerator):
+            __slots__ = ()
+
+            def uniform_int(self, lo, hi):
+                seeds.setdefault((lo, hi), set()).add(self._seed)
+                return super().uniform_int(lo, hi)
+
+            def uniform_ints(self, lo, hi, n):
+                seeds.setdefault((lo, hi), set()).add(self._seed)
+                return super().uniform_ints(lo, hi, n)
+
+        monkeypatch.setattr(analysis, "DeterministicGenerator", Recording)
+        M, lam = 2**10, 40
+        analysis.window_success_rate(
+            n=20, M=M, lam=lam, trials=1, radius=lambda m: Fraction(1), seed=seed_of(10)
+        )
+        key = seeds.pop((1 << lam, (1 << lam + 1) - 1))
+        plain = seeds.pop((0, M - 1))
+        (noise,) = seeds.values()
+        assert len(key) == len(plain) == len(noise) == 1
+        assert len(key | plain | noise) == 3
+
 
 class TestReportValue:
     def test_float_where_it_fits(self):

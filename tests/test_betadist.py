@@ -126,11 +126,13 @@ class TestInverse:
     def test_high_precision_search_stays_short(self, monkeypatch):
         # each grid Newton step gains ~50 bits (the density is a float), so
         # the step cap follows the precision; with a fixed cap of four steps
-        # the search fell through to a 480-step bisection here
+        # the search fell through to a 480-step bisection here.  A CDF
+        # evaluation is an exact numerator or a fixed-point tail sum
         prec = 480
         calls = []
-        real = betadist._cdf_num
-        monkeypatch.setattr(betadist, "_cdf_num", lambda *a: calls.append(a) or real(*a))
+        for name in ("_cdf_num", "_tail_fixed"):
+            real = getattr(betadist, name)
+            monkeypatch.setattr(betadist, name, lambda *a, real=real: calls.append(a) or real(*a))
         g = gen_of(42)
         for x, b in ((64, 65), (8, 9), (2, 3)):
             un = g.bits(prec)
@@ -177,6 +179,53 @@ class TestInverse:
         d = x + b - 1
         exact = reference.beta_cdf(x, b, Fraction(wn, 1 << 32))
         assert Fraction(betadist._cdf_num(x, b, wn, 32), 1 << (32 * d)) == exact
+
+
+# symmetric, skewed and one-sided shapes of degree 2 to 128
+FIXED_SHAPES = (
+    (1, 2), (2, 1), (2, 3), (3, 3), (5, 4), (1, 31), (16, 17), (31, 2),
+    (32, 33), (50, 14), (1, 128), (128, 1), (2, 127), (64, 65), (100, 29),
+)
+
+
+class TestFixedWidth:
+    @pytest.mark.parametrize("prec", (16, 32, 64, 96, 126, 254, 480))
+    def test_comparator_against_exact(self, prec, monkeypatch):
+        # the fixed-point pass at every width, on the grid points around each
+        # pinned draw, at both ends of the grid and for targets in both tails
+        monkeypatch.setattr(betadist, "_FIXED_MIN_BITS", 0)
+        exact_leq = betadist._cdf_leq
+        fallbacks = []
+        monkeypatch.setattr(betadist, "_cdf_leq", lambda *a: fallbacks.append(a) or exact_leq(*a))
+        fast_leq = betadist._cdf_leq_fast
+        decisions = []
+        monkeypatch.setattr(betadist, "_cdf_leq_fast", lambda *a: decisions.append(a) or fast_leq(*a))
+        D = 1 << prec
+        tail = 1 << max(prec - 40, 1)
+        g = gen_of(prec % 256)
+        for x, b in FIXED_SHAPES:
+            d = x + b - 1
+            for un in (g.bits(prec), g.uniform_int(0, tail - 1), D - 1 - g.uniform_int(0, tail - 1)):
+                wn = betadist.beta_icdf_bits(x, b, un, prec)
+                assert wn == 0 or exact_leq(x, b, wn, prec, un)
+                assert wn == D - 1 or not exact_leq(x, b, wn + 1, prec, un)
+                for w in {1, D - 1} | {w for w in range(wn - 1, wn + 3) if 0 < w < D}:
+                    # the error bound of each tail, against its exact numerator
+                    for lead, wl in ((x, w), (b, D - w)):
+                        a, err, F, _ = betadist._tail_fixed(lead, d, wl, D - wl, prec)
+                        exact = betadist._cdf_num(lead, d + 1 - lead, wl, prec)
+                        assert a << (prec * d) <= exact << F <= (a + err) << (prec * d)
+                    # the lower bound on the CDF's rise to the next grid point,
+                    # from the fixed-point pass and from the exact one
+                    if w < D - 1:
+                        step = betadist._cdf_num(x, b, w + 1, prec) - betadist._cdf_num(x, b, w, prec)
+                        for bits in (1 << 30, 0):
+                            monkeypatch.setattr(betadist, "_FIXED_MIN_BITS", bits)
+                            _, _, F, rise = betadist._cdf_gap(x, b, w, prec, un)
+                            assert rise << (prec * d) <= step << (prec + F)
+                    assert betadist._cdf_leq_fast(x, b, w, prec, un) == exact_leq(x, b, w, prec, un)
+        # next to a pinned point about one decision in 2^22 is left undecided
+        assert len(fallbacks) * 100 <= len(decisions)
 
 
 # Outputs of beta_icdf_bits(x, b, un, prec) for the targets of

@@ -13,14 +13,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import gacd, opf
-from .cli import MAX_KEY_BITS, SCHEMES
+from .cli import SCHEMES, make_key
+from .errors import ParameterError
+from .keyfile import MAX_KEY_BITS
 from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
 
-#: opf-beta stops at rho = 63 for cost, not precision: at rho = 127 every
-#: frame takes the 254-bit normal path, about 45 ms per encrypt, so the
-#: default 10 000 values would take minutes per repeat.  Larger rho is
-#: reported as unsupported.
+#: opf-beta stops at rho = 63 for cost, not precision: at rho = 127 the
+#: frames wider than 128 take the 254-bit normal path (120 draws per encrypt,
+#: against ~6 exact ones for the narrower frames), and an encrypt costs about
+#: 30 ms in process (25-35 ms, 2 cores, Python 3.11), so the default 10 000
+#: values would take five minutes per repeat.  Larger rho is reported as
+#: unsupported.
 BETA_MAX_RHO = 63
 
 
@@ -45,32 +48,27 @@ class BenchResult:
 
 def supported(scheme: str, rho: int) -> bool:
     """Whether `acdope keygen` takes scheme at M = 2^rho (opf-beta only up to
-    BETA_MAX_RHO), with the minimal lambda for gacd and N = M^2 for opf."""
+    BETA_MAX_RHO), with its default lambda or N."""
     if scheme not in SCHEMES or not 1 <= rho <= MAX_KEY_BITS:
         return False
     if scheme == "opf-beta" and rho > BETA_MAX_RHO:
         return False
-    if scheme == "gacd":
-        M = 1 << rho
-        lam = gacd.min_lambda(M)
-        return lam <= MAX_KEY_BITS and gacd.validate_params(gacd.SchemeParams(M, lam)).ok
-    return rho >= 2 and 2 * rho + 1 <= MAX_KEY_BITS  # make_opf_key needs N = M^2 >= 5
+    try:
+        make_key(scheme, 1 << rho, fresh_seed())
+    except ParameterError:
+        return False
+    return True
 
 
 def _make_ops(scheme: str, rho: int, seed: Seed):
     """Returns (init_fn) -> (enc, dec) closures for one configuration."""
-    if scheme == "gacd":
-        def init():
-            params = gacd.SchemeParams(M=1 << rho, lam=gacd.min_lambda(1 << rho))
-            key = gacd.keygen(params, DeterministicGenerator(derive_seed(seed, b"key")))
+    def init():
+        module, key = make_key(scheme, 1 << rho, derive_seed(seed, b"key"))
+        if scheme == "gacd":
             gen = DeterministicGenerator(derive_seed(seed, b"noise"))
-            return (lambda m: gacd.encrypt(m, key, gen)), (lambda c: gacd.decrypt(c, key))
-    else:
-        sampler = opf.Sampler.BETA if scheme == "opf-beta" else opf.Sampler.UNIFORM
-        def init():
-            key = opf.make_opf_key(rho, sampler, master_seed=derive_seed(seed, b"key"))
-            opf.init_endpoints(key)  # an opf key's set-up; each timed op repeats it
-            return (lambda m: opf.opf_encrypt(m, key)), (lambda c: opf.opf_decrypt(c, key))
+            return (lambda m: module.encrypt(m, key, gen)), (lambda c: module.decrypt(c, key))
+        module.init_endpoints(key)  # an opf key's set-up; each timed op repeats it
+        return (lambda m: module.opf_encrypt(m, key)), (lambda c: module.opf_decrypt(c, key))
     return init
 
 

@@ -35,14 +35,14 @@ Beta(x, x+1) distributions met in the bisection recursion concentrate as
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, erfc, exp, floor, isqrt, ldexp, log, log1p, pi, sqrt
+from math import comb, erfc, exp, isqrt, ldexp, log, log1p, pi, sqrt
 
 EXACT_DEGREE_LIMIT = 128
 
 # Iteration cap of the float Newton, which climbs monotonically and
-# converges in a handful of steps.  The grid Newton's cap, 2 + prec // 40,
-# follows the precision, since each of its steps gains only ~50 bits (the
-# density is a float).
+# converges in a handful of steps.  The grid Newtons of both paths stop at
+# 2 + prec.bit_length() steps, which follows the precision: each step about
+# doubles the bits the point is good to, from the ~50 of the float guess.
 _GUESS_MAX_STEPS = 64
 # Above this many bits, 2^-prec and 2^prec leave the range of a double, and
 # the search falls back to bisection over the grid.
@@ -250,10 +250,10 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
     terms on both sides.  Each _cdf_gap pass on the grid first tries to pin
     its point: it is the draw when u - I lies between 0 and the pass's lower
     bound on the rise of I to the next grid point.  Otherwise, while the
-    predicted error exceeds half an ulp, the pass's u - I (whose fixed-point
-    error is far below the float rounding of the step) gives a Newton step;
-    the predicted error after a step of s ulps is |f'/f| s^2 / (2 * 2^prec)
-    plus that rounding.  A point no pass pinned is pinned by comparisons,
+    predicted error exceeds half an ulp, the pass's u - I over that rise,
+    which is the density f to within about (b-1)/2^prec of itself, gives a
+    Newton step in whole ulps; the predicted error after a step of s ulps is
+    |f'/f| s^2 / (2 * 2^prec).  A point no pass pinned is pinned by comparisons,
     each decided by a _cdf_gap pass whose interval excludes 0 and otherwise
     by the exact _cdf_leq, so the draw is what exact arithmetic makes it.
     """
@@ -268,23 +268,19 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
     else:
         q = _quantile_guess(b, x, (D - un) / D)
         wn = D - 1 - int(q * D)
-    d = x + b - 1
-    log_norm = log(x * _binomial_row(d)[x])  # log 1/B(x, b)
-    err = ldexp(q, prec - 42)  # in ulps: the guess is good to ~2^-50
-    for _ in range(3 + prec // 40):
+    err = int(ldexp(q, prec - 41))  # in half ulps: the guess is good to ~2^-50
+    for _ in range(2 + prec.bit_length()):
         if not 0 < wn < D:
             break
-        gap, width, F, rise = _cdf_gap(x, b, wn, prec, un)
+        gap, width, _, rise = _cdf_gap(x, b, wn, prec, un)
         if 0 <= gap and gap + width < rise:
             return wn  # I_w <= u < I_{w + 2^-prec}
-        if err < 0.5:
+        if not err or rise <= 0:
             break
-        z, zc = wn / D, (D - wn) / D
-        pdf = exp(log_norm + (x - 1) * log(z) + (b - 1) * log(zc))
-        step = gap / (1 << F) / pdf
-        wn += floor(step)
-        curvature = abs((x - 1) / z - (b - 1) / zc)
-        err = 4 * (curvature * step * step / (2 * D) + abs(step) * 2.0**-52)
+        step = gap // rise
+        # 4 |f'/f| step^2 / (2 D) ulps with f'/f = (x-1)/w - (b-1)/(1-w), in half ulps
+        err = 4 * abs((x - 1) * (D - wn) - (b - 1) * wn) * step * step // (wn * (D - wn))
+        wn += step
     return _pin(lambda w: _cdf_leq_fast(x, b, w, prec, un), wn, D)
 
 

@@ -27,11 +27,6 @@ EXIT_ORDER = 4
 
 SEED_ENV = "OPE_SEED_HEX"
 
-#: Largest --rho, lambda and bit length of N that keygen accepts: keys stay
-#: quick to check, and their decimal key files within the 4300 digits Python
-#: converts between int and str by default.
-MAX_KEY_BITS = 12288
-
 #: The scheme names that keygen and bench take.
 SCHEMES = ("gacd", "opf-uniform", "opf-beta")
 
@@ -136,63 +131,40 @@ def _write_ints(path, values):
             fh.write("".join([f"{v}\n" for v in values[i:i + _WRITE_CHUNK]]))
 
 
-def _too_large(name, bits) -> bool:
-    if bits <= MAX_KEY_BITS:
-        return False
-    print(f"error: {name} exceeds the {MAX_KEY_BITS}-bit key size limit", file=sys.stderr)
-    return True
+def make_key(scheme: str, M: int, seed: Seed, lam=None, N=None, n_hint=None) -> tuple:
+    """(module, key): a new key of the named scheme for plaintexts in [0, M],
+    drawn from seed, and the module of that scheme.  gacd takes lam (by
+    default the least the bound allows) and n_hint, whose warnings are
+    printed; opf takes N (by default M^2).  A key the scheme's rules refuse
+    raises ParameterError."""
+    if scheme == "gacd":
+        from . import gacd as module  # each scheme's module only where it is used
+
+        if lam is None:
+            lam = module.min_lambda(M) if M >= 2 else 0  # validate_params reports M < 2
+        params = module.SchemeParams(M=M, lam=lam, n_hint=n_hint)
+        for w in module.validate_params(params).warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        return module, module.keygen(params, DeterministicGenerator(seed))
+    from . import opf as module
+
+    if M & (M - 1):
+        raise ParameterError(f"scheme {scheme} needs a power-of-two M")
+    sampler = module.Sampler.BETA if scheme == "opf-beta" else module.Sampler.UNIFORM
+    return module, module.make_opf_key(M.bit_length() - 1, sampler, N, seed)
 
 
 def cmd_keygen(args) -> int:
     if args.M is not None:
         M = args.M
-    elif args.rho is not None:
-        if args.rho < 0:
-            print(f"error: --rho must be >= 0, got {args.rho}", file=sys.stderr)
-            return EXIT_PARAMS
-        if _too_large("--rho", args.rho):
-            return EXIT_PARAMS
+    elif args.rho is None:
+        raise ParameterError("need --M or --rho")
+    elif not 0 <= args.rho <= keyfile.MAX_KEY_BITS:  # before 1 << rho is built
+        raise ParameterError(f"--rho must be in [0, {keyfile.MAX_KEY_BITS}], got {args.rho}")
+    else:
         M = 1 << args.rho
-    else:
-        print("error: need --M or --rho", file=sys.stderr)
-        return EXIT_PARAMS
-    seed = _resolve_seed(args.seed)
-
-    if args.scheme == "gacd":
-        from . import gacd  # each scheme's module only where it is used
-
-        lam = args.lam
-        if lam is None:
-            lam = gacd.min_lambda(M) if M >= 2 else 0  # validate_params reports M < 2
-        if _too_large("lambda", lam):
-            return EXIT_PARAMS
-        params = gacd.SchemeParams(M=M, lam=lam, n_hint=args.n_hint)
-        report = gacd.validate_params(params)
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        if not report.ok:
-            for reason in report.reasons:
-                print(f"error: {reason}", file=sys.stderr)
-            return EXIT_PARAMS
-        key = gacd.keygen(params, DeterministicGenerator(seed))
-        gacd.save_key(key, args.out)
-    else:
-        from . import opf
-
-        if M & (M - 1):
-            print(f"error: scheme {args.scheme} needs a power-of-two M", file=sys.stderr)
-            return EXIT_PARAMS
-        if _too_large("N", (M * M if args.N is None else args.N).bit_length()):
-            return EXIT_PARAMS
-        sampler = opf.Sampler.BETA if args.scheme == "opf-beta" else opf.Sampler.UNIFORM
-        try:
-            key = opf.make_opf_key(
-                r_bits=M.bit_length() - 1, sampler=sampler, N=args.N, master_seed=seed
-            )
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARAMS
-        opf.save_key(key, args.out)
+    module, key = make_key(args.scheme, M, _resolve_seed(args.seed), args.lam, args.N, args.n_hint)
+    module.save_key(key, args.out)
     return EXIT_OK
 
 
@@ -383,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=cmd_sort_verify)
 
     bn = sub.add_parser("bench", help="timing comparison across schemes")
-    bn.add_argument("--schemes", nargs="+", default=list(SCHEMES))
+    bn.add_argument("--schemes", nargs="+", choices=SCHEMES, default=list(SCHEMES))
     bn.add_argument("--rho", nargs="+", type=int, default=[7, 15, 31, 63, 127])
     bn.add_argument("--count", type=_positive_int, default=10_000)
     bn.add_argument("--repeat", type=_positive_int, default=5)

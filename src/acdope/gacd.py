@@ -108,6 +108,10 @@ def validate_params(params: SchemeParams) -> ValidationReport:
             f"lambda={params.lam} below bound: need lambda > (8/3)*lg M, "
             f"i.e. lambda >= {lam_min}"
         )
+    elif params.lam > keyfile.MAX_KEY_BITS:  # before 2^lambda is built
+        reasons.append(
+            f"lambda={params.lam} exceeds the {keyfile.MAX_KEY_BITS}-bit key size limit"
+        )
     else:
         lo, hi = _noise_band(1 << params.lam)  # the narrowest band a key can get
         if lo > hi:

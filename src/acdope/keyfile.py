@@ -11,6 +11,11 @@ from .errors import ParameterError
 GACD_SCHEME = "gacd-ope/1"
 OPF_SCHEME = "opf/1"
 
+#: Largest lambda, and bit length of N, of any key, generated or loaded:
+#: keys stay quick to check, and their decimal key files within the 4300
+#: digits Python converts between int and str by default.
+MAX_KEY_BITS = 12288
+
 
 class KeyFormatError(ParameterError):
     """A key file that is malformed or tagged for another scheme."""

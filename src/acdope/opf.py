@@ -27,7 +27,7 @@ import hmac
 from typing import Optional
 
 from . import betadist, keyfile
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .keyfile import KeyFormatError
 from .prng import DeterministicGenerator, Seed, fresh_seed
 from .record import Record
@@ -66,16 +66,22 @@ def make_opf_key(
 ) -> OpfKey:
     """Build a key for the power-of-two domain [0, 2^r_bits].
 
-    N defaults to M^2, the smallest allowed range bound.
+    N defaults to M^2, the smallest allowed range bound.  Parameters outside
+    these rules, or an N wider than keyfile.MAX_KEY_BITS, raise ParameterError.
     """
     if r_bits < 1:
-        raise DomainError("r_bits must be >= 1 (domain [0, 2^r])")
+        raise ParameterError("r_bits must be >= 1 (domain [0, 2^r])")
+    if 2 * r_bits >= keyfile.MAX_KEY_BITS:  # M^2 is too wide; checked before it is built
+        raise ParameterError(f"N >= M^2=2^{2 * r_bits} exceeds the "
+                             f"{keyfile.MAX_KEY_BITS}-bit key size limit")
     if N is None:
         N = 1 << 2 * r_bits
     elif N < 1 or N.bit_length() <= 2 * r_bits:  # N < M^2, compared without building M
-        raise DomainError(f"N={N} below M^2=2^{2 * r_bits}")
+        raise ParameterError(f"N={N} below M^2=2^{2 * r_bits}")
+    elif N.bit_length() > keyfile.MAX_KEY_BITS:
+        raise ParameterError(f"N exceeds the {keyfile.MAX_KEY_BITS}-bit key size limit")
     if N < 5:  # init_endpoints needs 1 <= f(0) < f(M) <= N with f(M) - f(0) > 3N/4
-        raise DomainError(f"N={N} leaves no room for the endpoints; need N >= 5")
+        raise ParameterError(f"N={N} leaves no room for the endpoints; need N >= 5")
     if master_seed is None:
         master_seed = fresh_seed()
     return OpfKey(master_seed=master_seed, r_bits=r_bits, N=N, sampler=sampler)
@@ -299,5 +305,5 @@ def key_from_fields(fields: dict, path: str) -> OpfKey:
             N=int(fields["N"]),
             master_seed=Seed.from_hex(fields["seed_hex"]),
         )
-    except (KeyError, ValueError) as exc:  # DomainError is a ValueError too
+    except (KeyError, ValueError) as exc:  # ParameterError is a ValueError too
         raise KeyFormatError(f"malformed key file {path!r}: {exc!r}") from exc

@@ -124,10 +124,11 @@ class TestInverse:
         assert not betadist._cdf_leq(4, 5, wn + 1, prec, un)
 
     def test_high_precision_search_stays_short(self, monkeypatch):
-        # each grid Newton step gains ~50 bits (the density is a float), so
-        # the step cap follows the precision; with a fixed cap of four steps
-        # the search fell through to a 480-step bisection here.  A CDF
-        # evaluation is an exact numerator or a fixed-point tail sum
+        # each grid Newton step about doubles the bits of the point, from the
+        # ~50 of the float guess, so the step cap follows the precision; with
+        # a fixed cap of four steps the search fell through to a 480-step
+        # bisection here.  A CDF evaluation is an exact numerator or a
+        # fixed-point tail sum
         prec = 480
         calls = []
         for name in ("_cdf_num", "_tail_fixed"):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acdope
-from acdope import cli, errors, gacd, opf
+from acdope import bench, cli, errors, gacd, opf
 from acdope.prng import DeterministicGenerator, seed_from_material
 
 from test_opf import GOLDEN_KEY_SEED, MALFORMED_KEY_FILES, OPF_GOLDEN
@@ -429,6 +429,24 @@ class TestBench:
             assert rc == cli.EXIT_OK
             assert f"warning: skipping {skipped} (unsupported)" in err
 
+    def test_unknown_scheme_name(self, capsys):
+        # a misspelt name exits 2, as keygen's --scheme does, not an empty table
+        rc = run("bench", "--schemes", "gacdx", "--rho", "7", "--count", "16",
+                 "--repeat", "1", "--seed", SEED)
+        assert rc == cli.EXIT_PARAMS
+        assert "invalid choice: 'gacdx'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", cli.SCHEMES)
+    def test_supported_agrees_with_keygen(self, tmp_path, capsys, scheme):
+        for rho in (-1, 0, 1, 2, 63, 64, 127, 4607, 4608, 6143, 6144, 12288, 12289):
+            rc = run("keygen", "--scheme", scheme, "--rho", str(rho), "--seed", SEED,
+                     "--out", str(tmp_path / "k.key"))
+            assert rc in (cli.EXIT_OK, cli.EXIT_PARAMS)
+            keygen_takes = rc == cli.EXIT_OK
+            if scheme == "opf-beta" and rho > bench.BETA_MAX_RHO:
+                keygen_takes = False  # bench refuses these for their cost alone
+            assert bench.supported(scheme, rho) == keygen_takes, (scheme, rho)
+
 
 class TestAnalyze:
     def make_sample(self, tmp_path, gacd_key, n=400):
@@ -487,6 +505,10 @@ HUGE_KEY_FILES = {
         "scheme=opf/1\nsampler=beta\nr_bits=" + "9" * 20 + "\nN=256\nseed_hex=" + "00" * 32,
     "opf-r_bits-1e8":
         "scheme=opf/1\nsampler=beta\nr_bits=100000000\nN=256\nseed_hex=" + "00" * 32,
+    # valid but for the key size limit, which a loaded key meets as keygen's does
+    "gacd-lambda-12289": f"scheme=gacd-ope/1\nlambda=12289\nM=128\nk={(1 << 12289) + 1}\n",
+    "opf-r_bits-6144":
+        f"scheme=opf/1\nsampler=beta\nr_bits=6144\nN={1 << 12288}\nseed_hex=" + "00" * 32,
 }
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acdope import opf
+from acdope.errors import ParameterError
 from acdope.prng import DeterministicGenerator
 
 from conftest import gen_of, seed_of
@@ -31,16 +32,16 @@ class TestKeyConstruction:
         assert key.N == 1024
 
     def test_range_below_square_rejected(self):
-        with pytest.raises(opf.DomainError):
+        with pytest.raises(ParameterError):
             opf.make_opf_key(5, opf.Sampler.BETA, N=1023, master_seed=seed_of(1))
 
     def test_tiny_domain_rejected(self):
-        with pytest.raises(opf.DomainError):
+        with pytest.raises(ParameterError):
             opf.make_opf_key(0, opf.Sampler.BETA)
 
     def test_no_room_for_endpoints_rejected(self):
         # M=2, N=4 is the one square range where f(M) - f(0) > 3N/4 cannot fit
-        with pytest.raises(opf.DomainError):
+        with pytest.raises(ParameterError):
             opf.make_opf_key(1, opf.Sampler.UNIFORM, master_seed=seed_of(1))
         key = opf.make_opf_key(1, opf.Sampler.UNIFORM, N=5, master_seed=seed_of(1))
         assert opf.init_endpoints(key) == (1, 5)

@@ -20,10 +20,11 @@ from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
 
 #: opf-beta stops at rho = 63 for cost, not precision: at rho = 127 the
 #: frames wider than 128 take the 254-bit normal path (120 draws per encrypt,
-#: against ~6 exact ones for the narrower frames), and an encrypt costs about
-#: 30 ms in process (25-35 ms, 2 cores, Python 3.11), so the default 10 000
-#: values would take five minutes per repeat.  Larger rho is reported as
-#: unsupported.
+#: against ~6 exact ones for the narrower frames, at 2.6 Phi evaluations per
+#: normal draw), and an encrypt costs 18-26 ms in process (best of 3 over 20
+#: values, 2 cores, Python 3.11, by the host's speed), so the default 10 000
+#: values would take three to four minutes per repeat.  Larger rho is
+#: reported as unsupported.
 BETA_MAX_RHO = 63
 
 

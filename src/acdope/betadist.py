@@ -25,11 +25,16 @@ When the polynomial degree exceeds EXACT_DEGREE_LIMIT, exact evaluation is
 intractable and we substitute the normal law with the Beta's exact mean
 mu = x/s and variance sigma^2 = xb/(s^2 (s+1)), s = x + b.  That draw is
 pinned to the same grid: the largest w with Phi((w - mu)/sigma) <= u.  Phi is
-evaluated in integer fixed point with a proven error bound, and a comparison
-the bound cannot decide is redone at higher precision, so the draw needs only
-the standard library and does not depend on how its search was seeded.  The
-Beta(x, x+1) distributions met in the bisection recursion concentrate as
-1/sqrt(x), so the substitution error vanishes precisely where it is used.
+evaluated in integer fixed point with a proven error bound.  Newton steps on
+the grid from the float standard quantile, each one evaluation at about
+twice the bits its point is good to, bring the search within an ulp, and the
+last evaluation pins its landing point through a Taylor bound on Phi there:
+one evaluation per draw at 64 bits, two or three at 254.  Only a point it
+cannot pin is pinned by comparisons, each redone at higher precision while
+the bound cannot decide it.  So the draw needs only the standard library and does not
+depend on how its search was seeded.  The Beta(x, x+1) distributions met in
+the bisection recursion concentrate as 1/sqrt(x), so the substitution error
+vanishes precisely where it is used.
 """
 
 from __future__ import annotations
@@ -336,8 +341,9 @@ def _constants(P: int) -> tuple:
 
 
 def _erf_fixed(rn: int, rd: int, P: int) -> tuple:
-    """erf(y) for y = sqrt(rn/rd) at P fractional bits: the value, a bound on
-    its error in ulps, and e^(y^2) at P fractional bits.
+    """erf(y) for y = sqrt(rn/rd) at P fractional bits: the value, a bound err
+    on its error in ulps, and e^(y^2) at P fractional bits, which is low by
+    less than (n + 4) e^(y^2) ulps, and so by less than err e^(y^2).
 
     erf(y) = (2/sqrt(pi)) y h(y^2) with h(r) = S(r)/e^r and
     S(r) = sum_n (2r)^n / (1*3*...*(2n+1)).  S and e^r = sum_n r^n/n! are
@@ -346,6 +352,14 @@ def _erf_fixed(rn: int, rd: int, P: int) -> tuple:
     the sum over n terms, the tail left once a term is 0 past n = 2r included.
     So h <= 1 is within 2(n+3)^2 ulps (|h'| <= 1/3 covers the truncated r),
     and erf within (floor(y) + 2)(3(n+3)^2 + 8) ulps, however large y is.
+
+    For e^r alone: the k-th term is floored once from the one before (two
+    floors of a quotient by an integer make one), so its shortfall is at most
+    r/k times the last one's plus an ulp, which sums to at most
+    sum_{j<k} r^j/j! < e^r ulps; the n shortfalls total less than n e^r.  The
+    tail after the zero n-th term, n >= 2r, is below the true n-th term,
+    which is its shortfall, so below e^r; and e^(y^2) < e^r (1 + 2^(1-P))
+    covers the truncated r.
     """
     one = 1 << P
     y = isqrt((rn << (2 * P)) // rd)  # sqrt(rn/rd) 2^P, less than 2 low
@@ -393,12 +407,50 @@ def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
     """Largest wn with Phi((wn/2^prec - mu)/sigma) <= un/2^prec, for huge shapes.
 
     With s = x + b and dev = wn s - x 2^prec, the standardised point t has
-    t^2/2 = dev^2 (s+1) / (2 x b 4^prec) exactly, so every comparison starts
+    t^2/2 = dev^2 (s+1) / (2 x b 4^prec) exactly, so every evaluation starts
     from integers.  The float standard quantile z0 of the target gives the
     first grid point floor(2^prec (mu + sigma z0)), with an error near 2^-50
-    in z; Newton steps on the grid refine it while the predicted error (each
-    step squares the error in z) exceeds half an ulp, and two decided
-    comparisons pin the grid point.
+    in z.  Each Newton step on the grid evaluates Phi once and squares the
+    error in z, so a step from a point good to B bits of z runs at about
+    2B + 40 bits, and only the step predicted to land within an ulp runs at
+    the full precision, whose error is 2^-40 of the CDF's rise over a grid
+    step.  That evaluation pins its landing point by itself, as below.  A
+    point it does not pin (the bound cannot separate, or the walk leaves the
+    grid or passes the cutoff where Phi or 1 - Phi is below 2^-prec) is
+    pinned by comparisons, each redone wider while its bound cannot decide.
+
+    The pin.  The evaluation at t gives Phi(t) within err/2 ulps at P
+    fractional bits and E with e^(t^2/2) (2^P - err) <= E <= e^(t^2/2) 2^P
+    (_erf_fixed); K = sqrt(2 pi) 2^P is within 2 ulps (_constants), and
+    phi(t) = e^(-t^2/2) / sqrt(2 pi).  A grid step is g = 2^64/dsig' in units
+    of sigma, with the exact dsig' in [dsig, dsig + 1).  The Newton step is
+    step = floor(y), for y the value of
+
+        Y = (u - Phi(t)) / (phi(t) g) = (u - Phi(t)) sqrt(2 pi) e^(t^2/2) dsig'/2^64
+
+    that the evaluation, K, E and dsig give, and it lands on c = wn + step,
+    at t + h with h = step g.  By Taylor,
+    Phi(t + h) = Phi(t) + phi(t) h + R with R = -xi phi(xi) h^2/2 for some xi
+    between t and t + h, where phi(xi) <= phi(t) e^(|t h|), so
+
+        |R| / (phi(t) g) <= step^2 g (|t| + |h|) e^(|t h|) / 2.
+
+    Within H = (|step| + 1) g of t, phi stays above phi(t) e^(-|t| H - H^2/2),
+    so the rise of Phi from c to c + 1, over phi(t) g, is at least
+    1 - |t| H - H^2/2.  Hence c is the draw, Phi(t + h) <= u < Phi(t + h + g),
+    when X = (u - Phi(t + h)) / (phi(t) g) = Y - step - R / (phi(t) g) lies in
+    [0, 1 - |t| H - H^2/2).  The code decides that at S fractional bits, with
+    every piece rounded the safe way, for a landing point predicted exact,
+    with 0 <= c < D - 1 (so c + 1 is on the grid) and 2 err < 2^P:
+      - Y lies within spread of y, from Phi's err, K +- 2, E's bound and
+        dsig';
+      - |t| <= T = isqrt(2 (floor(t^2/2) + 1)) + 1, and g <= G 2^-Q for G
+        rounded up at Q = zbits + 64 bits (g is about 2^-zbits), so h, exact
+        as step g, is bounded through G alone;
+      - it asks |t| H + H^2 < 1/4, which gives e^(|t h|) < 2 in the R bound.
+    At dev = 0 the evaluation gives Phi(0) = 1/2 within err and E = 2^P, and
+    nothing else changes.  Past the cutoff the walk stops before evaluating,
+    and leq decides those points exactly without an evaluation.
     """
     D = 1 << prec
     if un <= 0:
@@ -407,18 +459,17 @@ def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
     rd = 2 * x * b << (2 * prec)  # t^2/2 = dev^2 (s+1) / rd
     # 2^prec sigma at 64 fractional bits; zbits grid bits span one sigma
     dsig = isqrt((x * b << (2 * prec + 128)) // (s * s * (s + 1)))
+    zunit = max(dsig >> 64, 1)
     zbits = (dsig >> 64).bit_length()
+    Q = zbits + 64
+    G = -((-1 << (Q + 64)) // dsig)  # g 2^Q, rounded up
 
-    def precision(rn: int) -> int:
+    def precision(rn: int, slack: int = 0) -> int:
         # the CDF gap between neighbouring grid points is about
-        # 2^-zbits e^(-t^2/2); 40 guard bits leave ~20 past the error bound
-        bits = zbits + 3 * (rn // rd) // 2 + 40
+        # 2^-zbits e^(-t^2/2); 40 guard bits leave ~20 past the error bound.
+        # A step predicted to land slack bits of ulps off needs slack fewer
+        bits = max(zbits + 3 * (rn // rd) // 2 + 40 - slack, 64)
         return -(-bits // 32) * 32
-
-    def cdf(dev: int, rn: int, P: int) -> tuple:
-        """Phi(t) at P fractional bits, its error bound in ulps, e^(t^2/2)."""
-        value, err, e_sq = _erf_fixed(rn, rd, P)
-        return ((1 << P) + value if dev > 0 else (1 << P) - value) >> 1, err, e_sq
 
     def leq(wn: int) -> bool:
         dev = wn * s - x * D
@@ -431,7 +482,8 @@ def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
             return dev < 0
         P = precision(rn)
         while P <= 64 * prec + 4096:
-            phi, err, _ = cdf(dev, rn, P)
+            value, err, _ = _erf_fixed(rn, rd, P)
+            phi = ((1 << P) + value if dev > 0 else (1 << P) - value) >> 1
             if (phi + err) << prec <= un << P:
                 return True
             if (phi - err) << prec >= un << P:
@@ -450,17 +502,32 @@ def _icdf_normal(x: int, b: int, un: int, prec: int) -> int:
     for _ in range(2 + prec.bit_length()):
         dev = wn * s - x * D
         rn = dev * dev * (s + 1)
-        if not err or not 0 <= wn < D or 10000 * rn >= 6932 * prec * rd:
+        if not 0 <= wn < D or 10000 * rn >= 6932 * prec * rd:
             break
-        P = precision(rn)
-        phi, _, e_sq = cdf(dev, rn, P)
-        _, k_sq2pi = _constants(P)
-        # Newton: dt = (u - Phi(t)) / Phi'(t), Phi'(t) = e^(-t^2/2) / sqrt(2 pi)
-        dt = (((un << P) >> prec) - phi) * k_sq2pi * e_sq >> (2 * P)
-        step = dt * dsig >> (P + 64)
+        curv = rn // rd + 1  # Phi^-1 has curvature |t| <= t^2/2 + 1 in units of sigma
+        slack = (curv * err * err // zunit).bit_length()  # of the point this step lands on
+        P = precision(rn, slack)
+        value, verr, e_sq = _erf_fixed(rn, rd, P)
+        k = _constants(P)[1]
+        S = 3 * P + 65 + prec
+        gap = (un << (P + 1)) - (((1 << P) + (value if dev > 0 else -value)) << prec)
+        y = gap * k * e_sq * dsig  # y 2^S
+        step = y >> S
+        if not slack and 0 <= wn + step < D - 1 and 2 * verr < 1 << P:
+            # the pin of the docstring, in units of 2^-S
+            c_hi = (k + 2) * ((e_sq << P) // ((1 << P) - verr) + 1) * (dsig + 1)
+            spread = (verr << prec) * c_hi + abs(gap) * (c_hi - (k - 2) * e_sq * dsig)
+            H = (abs(step) + 1) * G
+            T = isqrt(2 * curv) + 1
+            W = T * H + (H * H >> Q) + 1  # (|t| H + H^2) 2^Q, rounded up
+            margin = spread + (((step * step * G * ((T << Q) + H) >> Q) + 1) << (S - Q))
+            frac = y - (step << S)
+            if 4 * W < 1 << Q and margin <= frac and frac + margin < ((1 << Q) - W) << (S - Q):
+                return wn + step
+        if not err:
+            break
+        err = curv * step * step // zunit
         wn += step
-        # Phi^-1 has curvature |t| <= t^2/2 + 1 in units of sigma
-        err = (rn // rd + 1) * step * step // max(dsig >> 64, 1)
     return _pin(leq, wn, D)
 
 

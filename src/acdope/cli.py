@@ -248,10 +248,11 @@ def cmd_bench(args) -> int:
     results = []
     for scheme in args.schemes:
         for rho in args.rho:
-            if not bench.supported(scheme, rho):
+            try:
+                r = bench.bench_scheme(scheme, rho, count=args.count, repeat=args.repeat, seed=seed)
+            except bench.UnsupportedConfig:
                 print(f"warning: skipping {scheme} at rho={rho} (unsupported)", file=sys.stderr)
                 continue
-            r = bench.bench_scheme(scheme, rho, count=args.count, repeat=args.repeat, seed=seed)
             results.append(r)
             for line in bench.metric_lines(r):
                 print(line)

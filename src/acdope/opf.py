@@ -67,7 +67,8 @@ def make_opf_key(
     """Build a key for the power-of-two domain [0, 2^r_bits].
 
     N defaults to M^2, the smallest allowed range bound.  Parameters outside
-    these rules, or an N wider than keyfile.MAX_KEY_BITS, raise ParameterError.
+    these rules, an N wider than keyfile.MAX_KEY_BITS, or for the beta
+    sampler an N above 2^betadist._FLOAT_PREC_LIMIT, raise ParameterError.
     """
     if r_bits < 1:
         raise ParameterError("r_bits must be >= 1 (domain [0, 2^r])")
@@ -82,6 +83,11 @@ def make_opf_key(
         raise ParameterError(f"N exceeds the {keyfile.MAX_KEY_BITS}-bit key size limit")
     if N < 5:  # init_endpoints needs 1 <= f(0) < f(M) <= N with f(M) - f(0) > 3N/4
         raise ParameterError(f"N={N} leaves no room for the endpoints; need N >= 5")
+    if sampler is Sampler.BETA and _beta_precision(N) > betadist._FLOAT_PREC_LIMIT:
+        # past it the float guesses leave double range and exact draws bisect
+        # the grid; an encrypt takes ~0.5 s at 2^1000, minutes near the size limit
+        raise ParameterError(f"a beta key's N is capped at 2^{betadist._FLOAT_PREC_LIMIT} "
+                             f"for cost; got a {N.bit_length()}-bit N")
     if master_seed is None:
         master_seed = fresh_seed()
     return OpfKey(master_seed=master_seed, r_bits=r_bits, N=N, sampler=sampler)
@@ -123,8 +129,8 @@ def init_endpoints(key: OpfKey) -> tuple[int, int]:
     return f0, fM
 
 
-def _beta_precision(key: OpfKey) -> int:
-    return max((key.N - 1).bit_length(), 64)
+def _beta_precision(N: int) -> int:
+    return max((N - 1).bit_length(), 64)
 
 
 def sample_mid(
@@ -217,7 +223,7 @@ def _shared_midpoints(key: OpfKey, trace: Optional[list] = None):
     With trace, each frame computed is appended as (RangeFrame, fx); a fresh
     lookup computes every frame its one descent visits.
     """
-    prec = _beta_precision(key)
+    prec = _beta_precision(key.N)
     path = []
 
     def mid(depth: int, a: int, b: int, fa: int, fb: int) -> int:

@@ -704,6 +704,111 @@ class TestNormalPath:
         lo, hi = un % D, min(un % D + gap, D - 1)
         assert betadist.beta_icdf_bits(h, h + 1, lo, prec) <= betadist.beta_icdf_bits(h, h + 1, hi, prec)
 
+    @given(
+        h=st.integers(min_value=65, max_value=2**62),
+        prec=st.sampled_from((64, 96, 254)),
+        tail=st.sampled_from((None, "half") + DEEP_TAILS),
+        mirror=st.booleans(),
+        un=st.integers(min_value=0, max_value=2**254),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_evaluation_pin(self, h, prec, tail, mirror, un):
+        # a draw that the Newton evaluation pins by itself is the grid point,
+        # for random targets, 1 and D - 1, 1/2 and the deep tails at both ends
+        D = 1 << prec
+        un = D >> 1 if tail == "half" else un % (D - 1) + 1 if tail is None else tail
+        if mirror:
+            un = D - un
+        assert pinned(h, h + 1, betadist.beta_icdf_bits(h, h + 1, un, prec), un, prec)
+
+    @pytest.mark.parametrize("h, prec", ((2**100, 64), (2**62, 126), (2**120, 254)),
+                             ids=("2^100-64", "2^62-126", "2^120-254"))
+    def test_boundary_targets(self, h, prec):
+        # u at or just above Phi at a grid point w, where a grid step's rise
+        # spans many ulps of u: the draw is w, and w - 1 for the next target
+        # down.  Such a point lies within the pin's error bounds of a grid
+        # boundary, and so does the landing point of a long last step (2^87
+        # ulps at h = 2^120), whose Taylor remainder then decides
+        D = 1 << prec
+        s = 2 * h + 1
+        g = gen_of(46)
+        with mpmath.mp.workprec(2 * prec + 64):
+            sigma = mpmath.sqrt(mpmath.mpf(h) * (h + 1) / (s + 1)) / s
+            for k in range(-12, 13):
+                w = int((mpmath.mpf(h) / s + k * sigma / 4) * D) + g.uniform_int(0, 255)
+                t = (mpmath.mpf(w) / D - mpmath.mpf(h) / s) / sigma
+                un = int(mpmath.ceil(mpmath.ncdf(t) * D))
+                assert betadist.beta_icdf_bits(h, h + 1, un, prec) == w, k
+                assert betadist.beta_icdf_bits(h, h + 1, un - 1, prec) == w - 1, k
+
+    @pytest.mark.parametrize("shift", (-40.0, -1e-3, 1e-3, 40.0))
+    def test_pinned_from_a_poor_guess(self, shift, monkeypatch):
+        # a float guess that is off, or past the cutoff, leaves the draw to
+        # the comparisons; the draw is the same grid point
+        g = gen_of(43)
+        cases = [(h, h + 1, prec, g.bits(prec)) for h, prec in ((2**10, 64), (2**40, 126), (300, 254))]
+        cases += [(x, b, 126, un) for x, b, prec in NORMAL_GOLDEN if prec == 126
+                  for un in (1, 1 << 125, (1 << 126) - 3)]
+        expected = [betadist.beta_icdf_bits(x, b, un, prec) for x, b, prec, un in cases]
+        guess = betadist._normal_quantile_guess
+        monkeypatch.setattr(betadist, "_normal_quantile_guess", lambda v: guess(v) + shift)
+        pins = []
+        pin = betadist._pin
+        monkeypatch.setattr(betadist, "_pin", lambda *a: pins.append(a) or pin(*a))
+        assert [betadist.beta_icdf_bits(x, b, un, prec) for x, b, prec, un in cases] == expected
+        if abs(shift) > 1:
+            assert pins  # the comparisons were reached
+
+
+class TestNormalBudget:
+    """Phi evaluations (_erf_fixed calls) per normal draw."""
+
+    def count(self, monkeypatch, shapes, draws, seed):
+        evals = []
+        real_erf = betadist._erf_fixed
+        monkeypatch.setattr(betadist, "_erf_fixed", lambda *a: evals.append(a) or real_erf(*a))
+        g = gen_of(seed)
+        n = 0
+        for x, b, prec in shapes:
+            for _ in range(draws):
+                un = g.bits(prec)
+                wn = betadist.beta_icdf_bits(x, b, un, prec)
+                n += 1
+                assert pinned(x, b, wn, un, prec)
+        return len(evals) / n
+
+    def test_one_evaluation_at_dense_shapes(self, monkeypatch):
+        # the normal-path frames of an opf-beta encrypt at rho = 15: the
+        # first Newton step's evaluation pins its landing point
+        shapes = [(1 << k, (1 << k) + 1, 64) for k in range(7, 15)]
+        assert self.count(monkeypatch, shapes, 25, 44) <= 1.1
+
+    def test_at_most_three_at_254_bits(self, monkeypatch):
+        # a staged first step and the pinning one
+        assert self.count(monkeypatch, [(2**120, 2**120 + 1, 254)], 20, 45) <= 3
+
+
+class TestErfFixed:
+    # t^2/2 values from 0 to past prec ln 2 (the cutoff of the normal path),
+    # as fractions rn/rd with an odd rd
+    @pytest.mark.parametrize("P", (96, 128, 256))
+    def test_bounds_against_mpmath(self, P):
+        rd = (3 << 70) + 12345
+        g = gen_of(P % 256)
+        rs = [0, 1e-12, 0.01, 0.5, 1, 2, 7.5, 30, 0.5 * P * 0.6931, P * 0.6931, 1.3 * P * 0.6931]
+        rns = [int(r * rd) for r in rs] + [1, g.uniform_int(1, 100 * rd)]
+        with mpmath.mp.workprec(3 * P + 64):
+            for rn in rns:
+                value, err, e_sq = betadist._erf_fixed(rn, rd, P)
+                r = mpmath.mpf(rn) / rd
+                assert abs(value - mpmath.erf(mpmath.sqrt(r)) * 2**P) <= err, rn
+                e_true = mpmath.exp(r)
+                assert e_sq <= e_true * 2**P < e_sq + err * e_true, rn
+                assert 2 * err < 2**P
+            k_erf, k_sq2pi = betadist._constants(P)
+            assert abs(k_erf - 2 / mpmath.sqrt(mpmath.pi) * 2**P) <= 2
+            assert abs(k_sq2pi - mpmath.sqrt(2 * mpmath.pi) * 2**P) <= 2
+
 
 class TestDraw:
     def test_returns_dyadic_fraction(self):

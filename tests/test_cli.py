@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib
 import io
@@ -429,6 +430,22 @@ class TestBench:
             assert rc == cli.EXIT_OK
             assert f"warning: skipping {skipped} (unsupported)" in err
 
+    def test_each_key_built_once(self, monkeypatch, capsys):
+        # a cell's key is built once by bench_scheme's support check and once
+        # per timed repeat; an unsupported cell builds none
+        built = []
+        make_key = bench.make_key
+        monkeypatch.setattr(bench, "make_key", lambda *a, **kw: built.append(a[:2]) or make_key(*a, **kw))
+        rc = run("bench", "--schemes", "gacd", "opf-uniform", "opf-beta", "--rho", "7", "127",
+                 "--count", "8", "--repeat", "3", "--seed", SEED)
+        assert rc == cli.EXIT_OK
+        assert "skipping opf-beta at rho=127 (unsupported)" in capsys.readouterr().err
+        assert collections.Counter(built) == {
+            (scheme, 1 << rho): 1 + 3
+            for scheme in ("gacd", "opf-uniform", "opf-beta") for rho in (7, 127)
+            if (scheme, rho) != ("opf-beta", 127)
+        }
+
     def test_unknown_scheme_name(self, capsys):
         # a misspelt name exits 2, as keygen's --scheme does, not an empty table
         rc = run("bench", "--schemes", "gacdx", "--rho", "7", "--count", "16",
@@ -509,6 +526,9 @@ HUGE_KEY_FILES = {
     "gacd-lambda-12289": f"scheme=gacd-ope/1\nlambda=12289\nM=128\nk={(1 << 12289) + 1}\n",
     "opf-r_bits-6144":
         f"scheme=opf/1\nsampler=beta\nr_bits=6144\nN={1 << 12288}\nseed_hex=" + "00" * 32,
+    # valid but for opf-beta's cost ceiling, N <= 2^1000
+    "opf-beta-N-2^1001":
+        f"scheme=opf/1\nsampler=beta\nr_bits=500\nN={1 << 1001}\nseed_hex=" + "00" * 32,
 }
 
 

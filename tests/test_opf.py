@@ -46,6 +46,16 @@ class TestKeyConstruction:
         key = opf.make_opf_key(1, opf.Sampler.UNIFORM, N=5, master_seed=seed_of(1))
         assert opf.init_endpoints(key) == (1, 5)
 
+    def test_beta_cost_ceiling(self):
+        # above 2^1000 the Beta sampler's float guesses leave double range
+        # and its cost runs away; uniform keys have no such ceiling
+        key = opf.make_opf_key(500, opf.Sampler.BETA, master_seed=seed_of(1))
+        assert key.N == 1 << 1000
+        for r_bits, N in ((500, (1 << 1000) + 1), (500, 1 << 1001), (501, None)):
+            with pytest.raises(ParameterError, match="capped at 2"):
+                opf.make_opf_key(r_bits, opf.Sampler.BETA, N=N, master_seed=seed_of(1))
+            opf.make_opf_key(r_bits, opf.Sampler.UNIFORM, N=N, master_seed=seed_of(1))
+
     def test_fresh_seed_when_omitted(self):
         a = opf.make_opf_key(4, opf.Sampler.UNIFORM)
         b = opf.make_opf_key(4, opf.Sampler.UNIFORM)

@@ -68,7 +68,7 @@ def _make_ops(scheme: str, rho: int, seed: Seed):
         if scheme == "gacd":
             gen = DeterministicGenerator(derive_seed(seed, b"noise"))
             return (lambda m: module.encrypt(m, key, gen)), (lambda c: module.decrypt(c, key))
-        module.init_endpoints(key)  # an opf key's set-up; each timed op repeats it
+        module.opf_encrypt(0, key)  # an opf key's set-up: its endpoints, kept in its memo
         return (lambda m: module.opf_encrypt(m, key)), (lambda c: module.opf_decrypt(c, key))
     return init
 

@@ -7,10 +7,15 @@ midpoint image f((a+b)/2) = f(a) + z with z in [0, f(b) - f(a)], and recurses
 into the half containing the plaintext.  Decryption replays exactly the same
 frames and pseudorandom choices, so it reconstructs the identical f values
 and walks down to the preimage.  There is one encrypt walk and one decrypt
-walk, each fed by a midpoint lookup: opf_encrypt and opf_decrypt give it a
-fresh lookup (which can trace every frame), while opf_encrypt_many and
-opf_decrypt_many keep one lookup across the batch in sorted order, so that a
-frame shared by neighbouring values is drawn once.
+walk, each fed by a midpoint lookup.  opf_encrypt and opf_decrypt give it a
+fresh lookup that shares the top of the tree through the key: each key keeps
+a memo, filled by its first single-value calls, of the endpoints and of the
+frames above depth TOP_DEPTH, which every descent passes through.  That is
+at most 2^TOP_DEPTH - 1 frames, each an integer below N: about 0.6 MB at
+r = 127.  A traced call bypasses the memo and computes every frame it
+visits.  opf_encrypt_many and opf_decrypt_many keep one lookup across the
+batch in sorted order, so that a frame shared by neighbouring values is
+drawn once; they leave the memo alone.
 
 Two midpoint samplers are supported.  "uniform" draws z uniformly (the
 CryptDB-style ope-exp baseline; it deliberately ignores the tail condition
@@ -34,6 +39,10 @@ from .record import Record
 
 KEY_FILE_SCHEME = keyfile.OPF_SCHEME
 
+#: Depths of the bisection tree whose frames a key's memo keeps for its
+#: single-value calls: at most 2^TOP_DEPTH - 1 frames per key.
+TOP_DEPTH = 12
+
 
 class Sampler(enum.Enum):
     UNIFORM = "uniform"
@@ -44,7 +53,15 @@ class NotACiphertextError(DomainError):
     """Value is not in the image of this key's order-preserving function."""
 
 
-class OpfKey(Record):
+class OpfKey(type("OpfKeyMemo", (Record,), {"__slots__": ("_memo",)})):
+    """The fields fix the function.  The memo of the single-value calls sits
+    in a slot of the unnamed base, outside the fields (this class's
+    __slots__), so ==, hash, repr, pickle and copy see only the fields, and a
+    pickled or copied key starts with an empty memo.  The memo maps None to
+    the endpoints (f(0), f(M)) and a midpoint x to f(x), for the frames above
+    TOP_DEPTH.  Concurrent callers may both compute one entry; they store
+    the same value, so no lock is needed."""
+
     __slots__ = ("master_seed", "r_bits", "N", "sampler")
 
     def __init__(self, master_seed: Seed, r_bits: int, N: int, sampler: Sampler):
@@ -52,6 +69,7 @@ class OpfKey(Record):
         object.__setattr__(self, "r_bits", r_bits)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "sampler", sampler)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def M(self) -> int:
@@ -213,20 +231,43 @@ def _decrypt_walk(c: int, key: OpfKey, f0: int, fM: int, mid) -> int:
         depth += 1
 
 
-def _shared_midpoints(key: OpfKey, trace: Optional[list] = None):
-    """Midpoint lookup for descents made in sorted order.
+def _shared_midpoints(key: OpfKey, trace: Optional[list] = None, memo: bool = False):
+    """(f(0), f(M), mid): the endpoints and a midpoint lookup for descents
+    made in sorted order.
 
     A node's frame is fixed by (a, b), so consecutive descents share the top
     of their paths.  The lookup keeps the previous descent, one (a, b, fx)
     per depth, and computes a frame only where (a, b) differs from it; below
     the first difference the kept entries are dropped.  Memory stays O(depth).
-    With trace, each frame computed is appended as (RangeFrame, fx); a fresh
-    lookup computes every frame its one descent visits.
+    With memo (the single-value calls), the endpoints and the frames above
+    TOP_DEPTH come from the key's memo, a frame there keyed by its midpoint
+    x (M is a power of two, so no two nodes share one), and each one
+    computed is stored in it; the kept descent then starts at TOP_DEPTH.  The memo adds at most
+    2^TOP_DEPTH - 1 frames per key.  With trace, the memo is bypassed and
+    each frame computed is appended as (RangeFrame, fx); a fresh lookup
+    without the memo computes every frame its one descent visits.
     """
     prec = _beta_precision(key.N)
     path = []
+    table = key._memo if memo and trace is None else None
+    if table is None:
+        top = 0
+        f0, fM = init_endpoints(key)
+    else:
+        top = TOP_DEPTH
+        ends = table.get(None)
+        if ends is None:
+            ends = table[None] = init_endpoints(key)
+        f0, fM = ends
 
     def mid(depth: int, a: int, b: int, fa: int, fb: int) -> int:
+        if depth < top:
+            x = (a + b) // 2
+            fx = table.get(x)
+            if fx is None:
+                fx = table[x] = _midpoint_value(key, RangeFrame(a, b, fa, fb), prec)
+            return fx
+        depth -= top
         if depth < len(path):
             pa, pb, fx = path[depth]
             if pa == a and pb == b:
@@ -239,17 +280,17 @@ def _shared_midpoints(key: OpfKey, trace: Optional[list] = None):
             trace.append((frame, fx))
         return fx
 
-    return mid
+    return f0, fM, mid
 
 
 def opf_encrypt(m: int, key: OpfKey, trace: Optional[list] = None) -> int:
     """Deterministic ciphertext f(m) in [1, N]; nondecreasing in m."""
-    return _encrypt_walk(m, key, *init_endpoints(key), _shared_midpoints(key, trace))
+    return _encrypt_walk(m, key, *_shared_midpoints(key, trace, memo=True))
 
 
 def opf_decrypt(c: int, key: OpfKey, trace: Optional[list] = None) -> int:
     """Preimage of c under the key's function, by bit-exact replay."""
-    return _decrypt_walk(c, key, *init_endpoints(key), _shared_midpoints(key, trace))
+    return _decrypt_walk(c, key, *_shared_midpoints(key, trace, memo=True))
 
 
 def _walk_sorted(values: list, key: OpfKey, walk) -> list:
@@ -257,8 +298,7 @@ def _walk_sorted(values: list, key: OpfKey, walk) -> list:
     values in sorted order.  If any value fails, the error of the first
     failing one in input order is raised, with its position in values as the
     attribute `index`."""
-    f0, fM = init_endpoints(key)
-    mid = _shared_midpoints(key)
+    f0, fM, mid = _shared_midpoints(key)
     out = [0] * len(values)
     failure = None
     for i in sorted(range(len(values)), key=values.__getitem__):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -388,6 +391,98 @@ class TestBatch:
         assert opf.opf_encrypt_many(ms, key) == expected
         assert len(calls) == key.M - 1
         assert len({(fr.a, fr.b) for fr in calls}) == key.M - 1
+
+
+def memo_frames(key):
+    """Frames in the key's memo (its other entry holds the endpoints)."""
+    return sum(x is not None for x in key._memo)
+
+
+def outcome(fn, v, key):
+    """fn(v, key), or the type and text of the error it raised."""
+    try:
+        return fn(v, key)
+    except opf.DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestKeyMemo:
+    """Single-value calls share the endpoints and the frames above TOP_DEPTH
+    through the key's memo; batches and traced calls leave it alone."""
+
+    @pytest.mark.parametrize("sampler", list(opf.Sampler))
+    def test_warm_key_equals_fresh_key_and_batch(self, sampler):
+        def key():
+            return opf.make_opf_key(6, sampler, N=2**20, master_seed=seed_of(9))
+        warm = key()
+        ms = list(range(warm.M + 1))
+        for m in ms:
+            opf.opf_encrypt(m, warm)
+        assert memo_frames(warm) == warm.M - 1  # the whole tree is above TOP_DEPTH
+        cts = [opf.opf_encrypt(m, warm) for m in ms]
+        assert cts == [opf.opf_encrypt(m, key()) for m in ms] == opf.opf_encrypt_many(ms, key())
+        assert [opf.opf_decrypt(c, warm) for c in cts] == opf.opf_decrypt_many(cts, key())
+        near = sorted({c + d for c in cts for d in (-1, 1)} | {1, warm.N})  # gaps, mostly
+        assert [outcome(opf.opf_decrypt, c, warm) for c in near] == \
+            [outcome(opf.opf_decrypt, c, key()) for c in near]
+
+    def test_memo_holds_only_the_top_frames(self):
+        key = opf.make_opf_key(opf.TOP_DEPTH + 2, opf.Sampler.UNIFORM, master_seed=seed_of(10))
+        ms = list(range(key.M + 1))
+        cts = [opf.opf_encrypt(m, key) for m in ms]
+        assert memo_frames(key) == 2**opf.TOP_DEPTH - 1
+        assert cts == opf.opf_encrypt_many(ms, opf.make_opf_key(
+            opf.TOP_DEPTH + 2, opf.Sampler.UNIFORM, master_seed=seed_of(10)))
+
+    def test_warm_key_draws_nothing_above_top_depth(self, monkeypatch):
+        key = beta_key()
+        c = opf.opf_encrypt(77, key)
+        calls = []
+        for name in ("init_endpoints", "_midpoint_value"):
+            real = getattr(opf, name)
+            monkeypatch.setattr(opf, name, lambda *a, real=real: calls.append(a) or real(*a))
+        assert opf.opf_encrypt(77, key) == c and opf.opf_decrypt(c, key) == 77
+        assert calls == []
+        assert opf.opf_encrypt_many([77], key) == [c]  # the batch draws its own frames
+        assert len(calls) == 1 + key.r_bits
+
+    def test_traced_call_bypasses_memo(self):
+        warm = beta_key()
+        for m in range(warm.M + 1):
+            opf.opf_encrypt(m, warm)
+        warm_enc, fresh_enc, warm_dec, fresh_dec = [], [], [], []
+        c = opf.opf_encrypt(77, warm, trace=warm_enc)
+        assert c == opf.opf_encrypt(77, beta_key(), trace=fresh_enc)
+        assert opf.opf_decrypt(c, warm, trace=warm_dec) == 77
+        assert opf.opf_decrypt(c, beta_key(), trace=fresh_dec) == 77
+        assert len(warm_enc) == warm.r_bits
+        assert warm_enc == fresh_enc == warm_dec == fresh_dec
+
+    def test_two_threads_share_a_key(self):
+        def key():
+            return opf.make_opf_key(9, opf.Sampler.BETA, master_seed=seed_of(11))
+        ms = list(range(0, key().M + 1, 3))
+        expected = opf.opf_encrypt_many(ms, key())
+        shared = key()
+        results = [None, None]
+
+        def work(i, order):
+            cts = {m: opf.opf_encrypt(m, shared) for m in order}
+            results[i] = ([cts[m] for m in ms], [opf.opf_decrypt(cts[m], shared) for m in ms])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-frame
+        try:
+            threads = [threading.Thread(target=work, args=(0, ms)),
+                       threading.Thread(target=work, args=(1, ms[::-1]))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [(expected, ms)] * 2
 
 
 class TestCollapsedSubrange:

@@ -2,12 +2,13 @@
 defaults, field equality and hash, a repr that names the fields, and no
 assignment after construction."""
 
+import copy
 import pickle
 
 import pytest
 
 from acdope.gacd import SchemeParams, SecretKey, ValidationReport
-from acdope.opf import OpfKey, RangeFrame, Sampler
+from acdope.opf import OpfKey, RangeFrame, Sampler, opf_decrypt, opf_encrypt, save_key
 from acdope.prng import Seed
 
 PARAMS = SchemeParams(M=128, lam=19)
@@ -71,3 +72,19 @@ def test_seed_length_is_checked():
 def test_records_of_different_classes_differ():
     assert SchemeParams(128, 19) != (128, 19, None)
     assert RangeFrame(0, 1, 2, 3) != (0, 1, 2, 3)
+
+
+def test_warm_opf_key_is_the_same_value(tmp_path):
+    # the memo that single-value calls fill is not a field
+    fields = next(f for cls, f, _ in RECORDS if cls is OpfKey)
+    warm, fresh = OpfKey(**fields), OpfKey(**fields)
+    for m in range(0, warm.M + 1, 5):
+        opf_decrypt(opf_encrypt(m, warm), warm)
+    assert warm._memo and not fresh._memo
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(warm)), copy.copy(warm), copy.deepcopy(warm)):
+        assert clone == warm and clone._memo == {}
+    save_key(warm, str(tmp_path / "warm.key"))
+    save_key(fresh, str(tmp_path / "fresh.key"))
+    assert (tmp_path / "warm.key").read_bytes() == (tmp_path / "fresh.key").read_bytes()

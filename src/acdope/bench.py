@@ -21,10 +21,10 @@ from .prng import DeterministicGenerator, Seed, derive_seed, fresh_seed
 #: opf-beta stops at rho = 63 for cost, not precision: at rho = 127 the
 #: frames wider than 128 take the 254-bit normal path (120 draws per encrypt,
 #: against ~6 exact ones for the narrower frames, at 2.6 Phi evaluations per
-#: normal draw), and an encrypt costs 18-26 ms in process (best of 3 over 20
-#: values, 2 cores, Python 3.11, by the host's speed), so the default 10 000
-#: values would take three to four minutes per repeat.  Larger rho is
-#: reported as unsupported.
+#: normal draw), and an encrypt costs 13-21 ms in process (best of 3 over 20
+#: values, 2 cores, Python 3.11, by the host's speed; the normal draws
+#: dominate it), so the default 10 000 values would take two to four
+#: minutes per repeat.  Larger rho is reported as unsupported.
 BETA_MAX_RHO = 63
 
 
@@ -47,20 +47,6 @@ class BenchResult:
     init_batch_ms: tuple = field(default=(), repr=False)
 
 
-def supported(scheme: str, rho: int) -> bool:
-    """Whether `acdope keygen` takes scheme at M = 2^rho (opf-beta only up to
-    BETA_MAX_RHO), with its default lambda or N."""
-    if scheme not in SCHEMES or not 1 <= rho <= MAX_KEY_BITS:
-        return False
-    if scheme == "opf-beta" and rho > BETA_MAX_RHO:
-        return False
-    try:
-        make_key(scheme, 1 << rho, fresh_seed())
-    except ParameterError:
-        return False
-    return True
-
-
 def _make_ops(scheme: str, rho: int, seed: Seed):
     """Returns (init_fn) -> (enc, dec) closures for one configuration."""
     def init():
@@ -80,7 +66,13 @@ def bench_scheme(
     repeat: int = 5,
     seed: Optional[Seed] = None,
 ) -> BenchResult:
-    if not supported(scheme, rho):
+    """Times scheme at M = 2^rho.  An unknown scheme, rho outside
+    [1, MAX_KEY_BITS], opf-beta above BETA_MAX_RHO, or a key that keygen's
+    rules refuse (with the default lambda or N) raises UnsupportedConfig;
+    the first timed init builds the first key, so no key is built only to
+    check."""
+    if scheme not in SCHEMES or not 1 <= rho <= MAX_KEY_BITS or \
+            (scheme == "opf-beta" and rho > BETA_MAX_RHO):
         raise UnsupportedConfig(f"{scheme} at rho={rho} is not supported")
     if seed is None:
         seed = fresh_seed()
@@ -89,7 +81,10 @@ def bench_scheme(
     init_times = []
     for _ in range(repeat):  # every init is the same; the ops of the last are timed
         t0 = time.perf_counter()
-        enc, dec = init()
+        try:
+            enc, dec = init()
+        except ParameterError as exc:  # raised by the first, as every init builds the same key
+            raise UnsupportedConfig(f"{scheme} at rho={rho} is not supported") from exc
         init_times.append((time.perf_counter() - t0) * 1e3)
 
     pgen = DeterministicGenerator(derive_seed(seed, b"plain"))

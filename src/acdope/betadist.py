@@ -11,15 +11,17 @@ of 2^-prec with I_w(x, b) <= u, so the result is independent of how the
 search for it was seeded.  The search needs only the standard library:
 Newton's method in floating point on log I against log z gives a guess good
 to about 2^-50, and Newton steps on the grid (one CDF evaluation each; one
-step at 64 bits, two at 126) bring it within an ulp.  The evaluation at the
-last point pins it: u - I lies below a lower bound on the CDF's rise to the
-next grid point.  Where it does not, comparisons pin the grid point, with
-bisection as the fallback.  Where the exact numerator would be
-_FIXED_MIN_BITS wide or more, each evaluation is instead done in truncated
-fixed point at prec + 32 bits, with a relative error bound that holds
-because every term of the tail it sums is positive; a comparison the bound
-cannot separate falls back to the exact one, so every draw is the one exact
-arithmetic gives.
+step at 64 bits, two at 126) bring it within an ulp.  The evaluation that
+takes the last step also pins the point it lands on, through a bound on how
+far the density moves over the step: one evaluation per draw at 64 bits.
+Where it cannot, the evaluation at that point pins it (u - I lies below a
+lower bound on the CDF's rise to the next grid point), and otherwise
+comparisons do, with bisection as the fallback.  Where the exact numerator
+would be _FIXED_MIN_BITS wide or more, each evaluation is instead done in
+truncated fixed point at prec + 32 bits, with a relative error bound that
+holds because every term of the tail it sums is positive; a comparison the
+bound cannot separate falls back to the exact one, so every draw is the one
+exact arithmetic gives.
 
 When the polynomial degree exceeds EXACT_DEGREE_LIMIT, exact evaluation is
 intractable and we substitute the normal law with the Beta's exact mean
@@ -70,6 +72,12 @@ _LN_SQRT_2PI = 0.5 * log(2 * pi)
 def _binomial_row(d: int) -> tuple:
     """C(d, 0), ..., C(d, d): the coefficients of every CDF of degree d."""
     return tuple(comb(d, j) for j in range(d + 1))
+
+
+@lru_cache(maxsize=EXACT_DEGREE_LIMIT)
+def _shifted_row(d: int, Q: int) -> tuple:
+    """The binomial row shifted to Q fractional bits, for _tail_fixed."""
+    return tuple(c << Q for c in _binomial_row(d))
 
 
 @lru_cache(maxsize=EXACT_DEGREE_LIMIT)
@@ -136,7 +144,7 @@ def _tail_fixed(x: int, d: int, wn: int, wc: int, prec: int) -> tuple:
     wc = 2^prec - wn and 0 < x <= d, 0 < wn < 2^prec, in truncated fixed point
     at Q = prec + _GUARD_BITS bits: (a, err, F, dens) with
 
-        a / 2^F  <=  T  <=  (a + err) / 2^F,   dens <= g(w) 2^F,
+        a / 2^F  <=  T  <=  (a + err) / 2^F,   dens <= g(w) 2^F < (dens + 1)(1 + d 2^(2-Q)),
 
     where g = x C(d, x) w^(x-1) (1-w)^(d-x) is the density at w of the
     Beta(x, d-x+1) law, whose CDF T is; dens comes from the same truncated
@@ -153,19 +161,21 @@ def _tail_fixed(x: int, d: int, wn: int, wc: int, prec: int) -> tuple:
     Their product a is exact, so T's relative shortfall delta is below
     K 2^-Q, K = 2(d-x+k1+k2) + 1, and T <= (a/2^F)/(1 - delta), where
     1/(1 - delta) - 1 <= delta + 2 delta^2 < (K + 1) 2^-Q while 2K^2 < 2^Q
-    (k <= n - 1 in _pow_fixed, so K < 4d)."""
+    (k <= n - 1 in _pow_fixed, so K < 4d).  dens floors the product of the
+    powers alone, whose shortfall is below (k1 + k2) 2^(1-Q) <= d 2^(1-Q) <= 1/2,
+    so g(w) 2^F < (dens + 1) / (1 - d 2^(1-Q)) <= (dens + 1)(1 + d 2^(2-Q))."""
     Q = prec + _GUARD_BITS
     sh = Q + prec - wn.bit_length()
     t = (wn << sh) // wc  # >= 2^(Q-1), since wc < 2^prec
-    row = _binomial_row(d)
-    s = 1 << Q  # C(d, d)
+    row = _shifted_row(d, Q)
+    s = row[d]
     for c in row[d - 1 : x - 1 : -1]:
-        s = (s * t >> sh) + (c << Q)
+        s = (s * t >> sh) + c
     m1, e1, k1 = _pow_fixed(wn, x, Q)
     m2, e2, k2 = _pow_fixed(wc, d - x, Q)
     p = m1 * m2  # 2^(prec*d - e1 - e2) w^x (1-w)^(d-x), low
     a = p * s
-    dens = (x * row[x] * p << (prec + Q)) // wn
+    dens = (x * _binomial_row(d)[x] * p << (prec + Q)) // wn
     return a, (a * (2 * (d - x + k1 + k2) + 2) >> Q) + 1, prec * d + Q - e1 - e2, dens
 
 
@@ -187,7 +197,16 @@ def _cdf_gap(x: int, b: int, wn: int, prec: int, un: int) -> tuple:
     The density f is unimodal, so over [w, w + 2^-prec] it stays above the
     smaller of its values at the two ends, and f(w + 2^-prec) / f(w) is at
     least (1 - 1/wc)^(b-1) >= 1 - (b-1)/wc, with wc = 2^prec - wn.  rise is
-    f(w) 2^F times that factor, from below."""
+    f(w) 2^F times that factor, from below: it is the density's floor dens
+    (exact below _FIXED_MIN_BITS, from _tail_fixed above) less
+    floor(dens (b-1)/wc) + 1.  So rise <= f(w) 2^F.  Where wc >= 2b, let
+    m = wc.bit_length(); then a = (b-1)/(wc-b+1) < (b-1) 2^(2-m) and a <= 1,
+    and dens <= (rise + 1)(1 + a) and _tail_fixed's bound give, at
+    Q = prec + _GUARD_BITS > m + 1,
+
+        f(w) 2^F  <  (rise + 2)(1 + a)(1 + d 2^(2-Q))
+                  <=  rise + 2 + (rise + 2)(a + d 2^(3-Q))
+                  <   rise + 3 + floor((rise + 2)(b - 1 + d) 2^(2-m))."""
     d = x + b - 1
     D = 1 << prec
     wc = D - wn
@@ -254,13 +273,34 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
     through I_z(x, b) = 1 - I_{1-z}(b, x)), so it stays accurate in relative
     terms on both sides.  Each _cdf_gap pass on the grid first tries to pin
     its point: it is the draw when u - I lies between 0 and the pass's lower
-    bound on the rise of I to the next grid point.  Otherwise, while the
-    predicted error exceeds half an ulp, the pass's u - I over that rise,
-    which is the density f to within about (b-1)/2^prec of itself, gives a
-    Newton step in whole ulps; the predicted error after a step of s ulps is
-    |f'/f| s^2 / (2 * 2^prec).  A point no pass pinned is pinned by comparisons,
-    each decided by a _cdf_gap pass whose interval excludes 0 and otherwise
-    by the exact _cdf_leq, so the draw is what exact arithmetic makes it.
+    bound on the rise of I to the next grid point.  Otherwise the pass's u - I
+    over that rise, which is the density f to within about (b-1)/2^prec of
+    itself, gives a Newton step in whole ulps; the predicted error after a
+    step of s ulps is |f'/f| s^2 / (2 * 2^prec).  The same pass then tries to
+    pin the point the step lands on, as below, and while the predicted error
+    exceeds half an ulp the search steps on.  A point no pass pinned is
+    pinned by comparisons, each decided by a _cdf_gap pass whose interval
+    excludes 0 and otherwise by the exact _cdf_leq, so the draw is what exact
+    arithmetic makes it.
+
+    The pin.  All values are in the pass's units 2^-(prec+F), and grid
+    points are counted in ulps.  The pass at w gives A = u - I(w) in
+    [gap, gap + width], and with f^ = f(w) 2^F, rise <= f^ < top
+    (_cdf_gap's bounds, which need wc >= 2b).  The step is
+    s = floor(gap / rise), so frac = gap - s rise lies in [0, rise), and it
+    lands on c = w + s.  On [lo, hi] = [min(w, c), max(w, c) + 1],
+    f'/f = (x-1)/t - (b-1)/(1-t) falls with t, so per ulp
+    |f'/f| <= L = (x-1)/lo + (b-1)/(2^prec - hi), and f stays within
+    e^(+-L |t - w|) of f^.  While L (n + 1) <= 1/2, n = |s|:
+      - the rise of I over the step, I(c) - I(w), is f^ s + R with
+        |R| <= f^ L n^2 e^(L n) / 2 <= f^ L n^2;
+      - the rise from c to c + 1 is at least f^ e^(-L (n+1)) >= f^ (1 - L (n+1)).
+    So u - I(c) = A - f^ s - R, where gap - f^ s = frac - (f^ - rise) s, and
+    with E = (top - rise) n + top L (n^2 + n + 1), c is the draw,
+    0 <= u - I(c) < I(c + 1) - I(c), when E <= frac and frac + width + E < rise
+    (rise <= f^ on the right); the code multiplies both by L's denominator,
+    so they are decided exactly.  Those two need E < rise / 2, and as
+    E >= rise L (n^2 + n + 1), they give L (n + 1) < 1/2 themselves.
     """
     D = 1 << prec
     if un <= 0:
@@ -273,6 +313,7 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
     else:
         q = _quantile_guess(b, x, (D - un) / D)
         wn = D - 1 - int(q * D)
+    d = x + b - 1
     err = int(ldexp(q, prec - 41))  # in half ulps: the guess is good to ~2^-50
     for _ in range(2 + prec.bit_length()):
         if not 0 < wn < D:
@@ -283,9 +324,22 @@ def _icdf_exact(x: int, b: int, un: int, prec: int) -> int:
         if not err or rise <= 0:
             break
         step = gap // rise
+        c = wn + step
+        wc = D - wn
+        if 0 < c < D - 1 and 2 * b <= wc:
+            # the pin of the docstring, both sides times ld, L's denominator:
+            # t = top L (n^2 + n + 1) ld and low = (frac - (top - rise) n) ld
+            n = abs(step)
+            lo, hi = (wn, c + 1) if step >= 0 else (c, wn + 1)
+            ld = lo * (D - hi)
+            slack = 3 + ((rise + 2) * (b - 1 + d) >> (wc.bit_length() - 2))  # top - rise
+            t = (rise + slack) * (n * n + n + 1) * ((x - 1) * (D - hi) + (b - 1) * lo)
+            low = (gap - step * rise - slack * n) * ld
+            if t <= low and t < (rise - width - 2 * slack * n) * ld - low:
+                return c
         # 4 |f'/f| step^2 / (2 D) ulps with f'/f = (x-1)/w - (b-1)/(1-w), in half ulps
-        err = 4 * abs((x - 1) * (D - wn) - (b - 1) * wn) * step * step // (wn * (D - wn))
-        wn += step
+        err = 4 * abs((x - 1) * wc - (b - 1) * wn) * step * step // (wn * wc)
+        wn = c
     return _pin(lambda w: _cdf_leq_fast(x, b, w, prec, un), wn, D)
 
 

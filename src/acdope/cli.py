@@ -143,9 +143,10 @@ def make_key(scheme: str, M: int, seed: Seed, lam=None, N=None, n_hint=None) -> 
         if lam is None:
             lam = module.min_lambda(M) if M >= 2 else 0  # validate_params reports M < 2
         params = module.SchemeParams(M=M, lam=lam, n_hint=n_hint)
-        for w in module.validate_params(params).warnings:
+        report = module.validate_params(params)  # one check: its warnings here, its refusal in keygen
+        for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        return module, module.keygen(params, DeterministicGenerator(seed))
+        return module, module.keygen(params, DeterministicGenerator(seed), report)
     from . import opf as module
 
     if M & (M - 1):

@@ -160,8 +160,13 @@ def _noise_band(k: int) -> tuple[int, int]:
     return f4 + 1, k - f4 - 1
 
 
-def keygen(params: SchemeParams, gen: DeterministicGenerator) -> SecretKey:
-    report = validate_params(params)
+def keygen(params: SchemeParams, gen: DeterministicGenerator,
+           report: Optional[ValidationReport] = None) -> SecretKey:
+    """A key for params, with k drawn from gen; params that validate_params
+    fails raise ParameterError.  A caller that has already validated params
+    (for its warnings) passes that report, so they are checked once."""
+    if report is None:
+        report = validate_params(params)
     if not report.ok:
         raise ParameterError("; ".join(report.reasons))
     k = gen.uniform_int(1 << params.lam, (1 << (params.lam + 1)) - 1)

@@ -2,7 +2,9 @@
 
 A key fixes a random increasing map f: [0, M] -> [1, N] (M = 2^r, N >= M^2)
 without ever materialising it.  Encryption bisects the domain; each frame
-(a, b, f(a), f(b)) reseeds the generator through a keyed hash, draws the
+(a, b, f(a), f(b)) reseeds the generator through a keyed hash (seed_fn:
+HMAC-SHA256 under the key's master seed of the frame's length-prefixed
+encoding, from an HMAC the key keeps keyed and copies per frame), draws the
 midpoint image f((a+b)/2) = f(a) + z with z in [0, f(b) - f(a)], and recurses
 into the half containing the plaintext.  Decryption replays exactly the same
 frames and pseudorandom choices, so it reconstructs the identical f values
@@ -53,14 +55,16 @@ class NotACiphertextError(DomainError):
     """Value is not in the image of this key's order-preserving function."""
 
 
-class OpfKey(type("OpfKeyMemo", (Record,), {"__slots__": ("_memo",)})):
-    """The fields fix the function.  The memo of the single-value calls sits
-    in a slot of the unnamed base, outside the fields (this class's
-    __slots__), so ==, hash, repr, pickle and copy see only the fields, and a
-    pickled or copied key starts with an empty memo.  The memo maps None to
-    the endpoints (f(0), f(M)) and a midpoint x to f(x), for the frames above
-    TOP_DEPTH.  Concurrent callers may both compute one entry; they store
-    the same value, so no lock is needed."""
+class OpfKey(type("OpfKeyState", (Record,), {"__slots__": ("_memo", "_mac")})):
+    """The fields fix the function.  Two values derived from them sit in
+    slots of the unnamed base, outside the fields (this class's __slots__),
+    so ==, hash, repr, pickle and copy see only the fields, and a pickled or
+    copied key builds its own: the HMAC-SHA256 keyed with the master seed,
+    which seed_fn copies for each frame, and the memo of the single-value
+    calls, which starts empty.  The memo maps None to the endpoints
+    (f(0), f(M)) and a midpoint x to f(x), for the frames above TOP_DEPTH.
+    Concurrent callers may both compute one entry; they store the same
+    value, so no lock is needed."""
 
     __slots__ = ("master_seed", "r_bits", "N", "sampler")
 
@@ -70,6 +74,7 @@ class OpfKey(type("OpfKeyMemo", (Record,), {"__slots__": ("_memo",)})):
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_mac", hmac.new(master_seed.data, digestmod=hashlib.sha256))
 
     @property
     def M(self) -> int:
@@ -121,19 +126,23 @@ class RangeFrame(Record):
         object.__setattr__(self, "fb", fb)
 
 
-def _encode_int(v: int) -> bytes:
-    raw = v.to_bytes(max((v.bit_length() + 7) // 8, 1), "big")
-    return len(raw).to_bytes(4, "big") + raw
-
-
-def seed_fn(master: Seed, frame: RangeFrame) -> Seed:
-    """Per-frame seed: keyed hash of the length-prefixed frame encoding.
+def seed_fn(key: OpfKey, frame: RangeFrame) -> Seed:
+    """Per-frame seed: HMAC-SHA256 under the key's master seed of the frame
+    encoding, which gives each of a, b, fa, fb as a 4-byte big-endian length
+    and then its big-endian bytes (one byte for 0).
 
     Length prefixes make the encoding injective, so distinct frames cannot
-    alias to the same generator stream.
+    alias to the same generator stream.  The encoding is built as one
+    integer and converted once, and the keyed HMAC is the key's, copied.
     """
-    msg = b"".join(_encode_int(v) for v in (frame.a, frame.b, frame.fa, frame.fb))
-    return Seed(hmac.new(master.data, msg, hashlib.sha256).digest())
+    msg = size = 0
+    for v in (frame.a, frame.b, frame.fa, frame.fb):
+        n = (v.bit_length() + 7) >> 3 or 1
+        msg = (msg << 32 | n) << 8 * n | v
+        size += 4 + n
+    mac = key._mac.copy()
+    mac.update(msg.to_bytes(size, "big"))
+    return Seed(mac.digest())
 
 
 def init_endpoints(key: OpfKey) -> tuple[int, int]:
@@ -177,7 +186,7 @@ def _midpoint_value(key: OpfKey, frame: RangeFrame, prec: int) -> int:
     y = frame.fb - frame.fa
     if y == 0:
         return frame.fa  # earlier collision flattened this subrange
-    gen = DeterministicGenerator(seed_fn(key.master_seed, frame))
+    gen = DeterministicGenerator(seed_fn(key, frame))
     width = frame.b - frame.a
     z = sample_mid(gen, y, width // 2, width, key.sampler, prec)
     return frame.fa + z

@@ -1,8 +1,11 @@
 """Reference oracles that only the tests call: the exact Beta CDF, a Beta
-draw through the package's dyadic inverse CDF, the window attack's success
+draw through the package's dyadic inverse CDF, the per-frame seed of an OPF
+key as the length-prefixed encoding defines it, the window attack's success
 law 1 - (1-eps)^n, and the inversion estimate for a random increasing map
 (the attack on Boldyreva-style deterministic OPFs)."""
 
+import hashlib
+import hmac
 import math
 from fractions import Fraction
 from math import comb
@@ -39,6 +42,20 @@ def draw(gen, x: int, b: int, prec: int) -> Fraction:
     """One Beta(x, b) variate at prec dyadic fractional bits."""
     un = gen.bits(prec)
     return Fraction(beta_icdf_bits(x, b, un, prec), 1 << prec)
+
+
+def encode_int(v: int) -> bytes:
+    """One frame value as the seed derivation encodes it: a 4-byte big-endian
+    length, then the value's big-endian bytes (one byte for 0)."""
+    raw = v.to_bytes(max((v.bit_length() + 7) // 8, 1), "big")
+    return len(raw).to_bytes(4, "big") + raw
+
+
+def frame_seed(master, a: int, b: int, fa: int, fb: int) -> bytes:
+    """HMAC-SHA256 under the master seed of the frame (a, b, fa, fb)'s
+    encoding: the bytes of an OPF key's seed for that frame."""
+    msg = b"".join(encode_int(v) for v in (a, b, fa, fb))
+    return hmac.new(master.data, msg, hashlib.sha256).digest()
 
 
 def success_probability(epsilon: Fraction, n: int) -> Fraction:

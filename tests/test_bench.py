@@ -10,11 +10,11 @@ from conftest import seed_of
 
 class TestSupport:
     def test_matrix(self):
-        assert bench.supported("gacd", 127)
-        assert bench.supported("opf-uniform", 127)
-        assert bench.supported("opf-beta", 63)
-        assert not bench.supported("opf-beta", 127)
-        assert not bench.supported("nonesuch", 7)
+        for scheme, rho in (("gacd", 127), ("opf-uniform", 127), ("opf-beta", 63)):
+            assert bench.bench_scheme(scheme, rho, count=1, repeat=1, seed=seed_of(72)).count == 1
+        for scheme, rho in (("opf-beta", 127), ("nonesuch", 7)):
+            with pytest.raises(bench.UnsupportedConfig):
+                bench.bench_scheme(scheme, rho, count=1, repeat=1, seed=seed_of(72))
 
     def test_unsupported_raises(self):
         with pytest.raises(bench.UnsupportedConfig):

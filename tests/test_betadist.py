@@ -231,6 +231,93 @@ class TestFixedWidth:
         assert len(fallbacks) * 100 <= len(decisions)
 
 
+def exact_pinned(x, b, wn, un, prec):
+    """wn is the largest grid point with I_w <= u, decided on exact numerators."""
+    return (wn == 0 or betadist._cdf_leq(x, b, wn, prec, un)) and \
+        (wn == (1 << prec) - 1 or not betadist._cdf_leq(x, b, wn + 1, prec, un))
+
+
+# the exact-path shapes of opf-beta frames: Beta(h, h+1) at degree d = 2h
+DENSE_SHAPES = [(1 << k, (1 << k) + 1) for k in range(7)]
+
+
+class TestExactPin:
+    """The pass that takes a grid Newton step also pins the point it lands on."""
+
+    @pytest.mark.parametrize("fixed_min_bits", (0, 1 << 30), ids=("fixed", "exact"))
+    @pytest.mark.parametrize("prec", (64, 96, 254))
+    @pytest.mark.parametrize("d", (2, 16, 64, 128))
+    def test_boundary_targets(self, d, prec, fixed_min_bits, monkeypatch):
+        # u at I(w) exactly and one ulp below, so u - I lies at either edge of
+        # the pin's window [0, rise) at the landing point.  I(w) 2^prec is an
+        # integer where w is a multiple of 2^-m with m d <= prec; elsewhere u
+        # is its ceiling.  Every pass is a fixed-point one, or every pass exact
+        monkeypatch.setattr(betadist, "_FIXED_MIN_BITS", fixed_min_bits)
+        D = 1 << prec
+        g = gen_of(d + prec % 7)
+        m = max(min(prec // d, 6), 1)
+        points = [k << (prec - m) for k in range(1, 1 << m)]
+        points += [g.uniform_int(1, D - 2) for _ in range(4)]
+        for x, b in ((d // 2, d - d // 2 + 1), (d - d // 8, 1 + d // 8)):
+            for w in points:
+                num = betadist._cdf_num(x, b, w, prec)
+                un = -(-num >> (prec * (x + b - 2)))  # ceil(I(w) 2^prec)
+                if not 0 < un < D:
+                    continue
+                at, below = betadist.beta_icdf_bits(x, b, un, prec), betadist.beta_icdf_bits(x, b, un - 1, prec)
+                assert at >= w > below, (x, b, w)
+                assert exact_pinned(x, b, at, un, prec) and exact_pinned(x, b, below, un - 1, prec)
+
+    @pytest.mark.parametrize("factor", (1 - 2**-20, 1 + 2**-30, 0.5, 1.9))
+    def test_pinned_from_a_poor_guess(self, factor, monkeypatch):
+        # a float guess that is off leaves the draw to further steps or to
+        # the comparisons; the draw is the same grid point
+        g = gen_of(47)
+        cases = [(x, b, prec, g.bits(prec)) for x, b in DENSE_SHAPES for prec in (64, 96, 254)]
+        cases += [(x, b, 64, un) for x, b in ((3, 5), (40, 2)) for un in (1, 1 << 63, (1 << 64) - 2)]
+        expected = [betadist.beta_icdf_bits(x, b, un, prec) for x, b, prec, un in cases]
+        guess = betadist._quantile_guess
+        monkeypatch.setattr(betadist, "_quantile_guess", lambda x, b, v: guess(x, b, v) * factor)
+        pins = []
+        pin = betadist._pin
+        monkeypatch.setattr(betadist, "_pin", lambda *a: pins.append(a) or pin(*a))
+        assert [betadist.beta_icdf_bits(x, b, un, prec) for x, b, prec, un in cases] == expected
+        if abs(factor - 1) > 0.1:
+            assert pins  # the comparisons were reached
+
+
+class TestExactBudget:
+    """CDF passes (_cdf_num and _tail_fixed calls) per exact draw."""
+
+    def count(self, monkeypatch, prec, draws, seed):
+        calls = []
+        for name in ("_cdf_num", "_tail_fixed"):
+            real = getattr(betadist, name)
+            monkeypatch.setattr(betadist, name, lambda *a, real=real: calls.append(a) or real(*a))
+        g = gen_of(seed)
+        cases = [(x, b, g.bits(prec)) for x, b in DENSE_SHAPES for _ in range(draws)]
+        got = [betadist.beta_icdf_bits(x, b, un, prec) for x, b, un in cases]
+        n = len(calls)
+        monkeypatch.undo()
+        assert all(exact_pinned(x, b, wn, un, prec) for (x, b, un), wn in zip(cases, got))
+        return n / len(cases)
+
+    def test_one_pass_at_64_bits(self, monkeypatch):
+        # the opf-beta-dense shapes: the pass that takes the one Newton step
+        # pins its landing point; a second pass per draw would read 2
+        assert self.count(monkeypatch, 64, 40, 48) <= 1.05
+
+    def test_budget_at_96_bits(self, monkeypatch):
+        # a step of ~2^46 ulps from the float guess can land within an ulp
+        # only at small degree; the others take a second pass
+        assert self.count(monkeypatch, 96, 20, 49) <= 1.35
+
+    def test_budget_at_254_bits(self, monkeypatch):
+        # two steps to get within an ulp, the second one pinned by the pass
+        # that takes it
+        assert self.count(monkeypatch, 254, 10, 50) <= 3.05
+
+
 # Outputs of beta_icdf_bits(x, b, un, prec) for the targets of
 # golden_targets(prec), recorded from the scipy-seeded search that preceded
 # the stdlib one.  The draw is defined as a grid point, so any correct search

@@ -59,6 +59,21 @@ class TestKeygen:
     def test_missing_domain(self, tmp_path):
         assert run("keygen", "--scheme", "gacd", "--out", str(tmp_path / "x.key")) == 2
 
+    @pytest.mark.parametrize("args, rc, shown", [
+        ("--n-hint 500", cli.EXIT_OK, "warning: n_hint=500 above M/100"),
+        ("--lambda 3 --n-hint 500", cli.EXIT_PARAMS, "warning: n_hint=500 above M/100"),
+        ("--lambda 3", cli.EXIT_PARAMS, "error: lambda=3 below bound"),
+    ])
+    def test_gacd_params_checked_once(self, tmp_path, monkeypatch, capsys, args, rc, shown):
+        # one validation report gives both keygen's warnings and its refusal
+        reports = []
+        real = gacd.validate_params
+        monkeypatch.setattr(gacd, "validate_params", lambda p: reports.append(p) or real(p))
+        assert run("keygen", "--scheme", "gacd", "--rho", "15", *args.split(), "--seed", SEED,
+                   "--out", str(tmp_path / "x.key")) == rc
+        assert shown in capsys.readouterr().err
+        assert len(reports) == 1
+
     def test_seed_reproducible(self, tmp_path):
         p1, p2 = str(tmp_path / "a.key"), str(tmp_path / "b.key")
         run("keygen", "--scheme", "gacd", "--rho", "7", "--seed", SEED, "--out", p1)
@@ -431,8 +446,8 @@ class TestBench:
             assert f"warning: skipping {skipped} (unsupported)" in err
 
     def test_each_key_built_once(self, monkeypatch, capsys):
-        # a cell's key is built once by bench_scheme's support check and once
-        # per timed repeat; an unsupported cell builds none
+        # a cell's key is built once per timed repeat, the first of which
+        # checks keygen's rules; a cell out of bench's range builds none
         built = []
         make_key = bench.make_key
         monkeypatch.setattr(bench, "make_key", lambda *a, **kw: built.append(a[:2]) or make_key(*a, **kw))
@@ -441,7 +456,7 @@ class TestBench:
         assert rc == cli.EXIT_OK
         assert "skipping opf-beta at rho=127 (unsupported)" in capsys.readouterr().err
         assert collections.Counter(built) == {
-            (scheme, 1 << rho): 1 + 3
+            (scheme, 1 << rho): 3
             for scheme in ("gacd", "opf-uniform", "opf-beta") for rho in (7, 127)
             if (scheme, rho) != ("opf-beta", 127)
         }
@@ -462,7 +477,12 @@ class TestBench:
             keygen_takes = rc == cli.EXIT_OK
             if scheme == "opf-beta" and rho > bench.BETA_MAX_RHO:
                 keygen_takes = False  # bench refuses these for their cost alone
-            assert bench.supported(scheme, rho) == keygen_takes, (scheme, rho)
+            try:
+                bench.bench_scheme(scheme, rho, count=1, repeat=1, seed=cli._resolve_seed(SEED))
+                bench_takes = True
+            except bench.UnsupportedConfig:
+                bench_takes = False
+            assert bench_takes == keygen_takes, (scheme, rho)
 
 
 class TestAnalyze:

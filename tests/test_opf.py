@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -9,6 +10,7 @@ from acdope import opf
 from acdope.errors import ParameterError
 from acdope.prng import DeterministicGenerator
 
+import reference
 from conftest import gen_of, seed_of
 
 
@@ -65,16 +67,21 @@ class TestKeyConstruction:
         assert a.master_seed != b.master_seed
 
 
+def key_of(seed_byte):
+    """A key whose master seed is seed_of(seed_byte); seed_fn is keyed by it."""
+    return opf.make_opf_key(4, opf.Sampler.UNIFORM, master_seed=seed_of(seed_byte))
+
+
 class TestSeedFn:
     def test_deterministic(self):
         f = opf.RangeFrame(0, 16, 3, 200)
-        assert opf.seed_fn(seed_of(3), f) == opf.seed_fn(seed_of(3), f)
+        assert opf.seed_fn(key_of(3), f) == opf.seed_fn(key_of(3), f)
 
     def test_length_prefix_prevents_aliasing(self):
         # without prefixes the byte strings for (1, 23) and (12, 3) could
         # collide; the injective encoding must keep them apart
-        s1 = opf.seed_fn(seed_of(3), opf.RangeFrame(1, 23, 5, 9))
-        s2 = opf.seed_fn(seed_of(3), opf.RangeFrame(12, 3, 5, 9))
+        s1 = opf.seed_fn(key_of(3), opf.RangeFrame(1, 23, 5, 9))
+        s2 = opf.seed_fn(key_of(3), opf.RangeFrame(12, 3, 5, 9))
         assert s1 != s2
 
     def test_distinct_frames_distinct_seeds(self):
@@ -85,12 +92,34 @@ class TestSeedFn:
                 g.uniform_int(0, 100), g.uniform_int(101, 200),
                 g.uniform_int(1, 10**6), g.uniform_int(10**6 + 1, 10**7),
             )
-            seen.add(opf.seed_fn(seed_of(3), f))
+            seen.add(opf.seed_fn(key_of(3), f))
         assert len(seen) == 500
 
     def test_keyed_by_master(self):
         f = opf.RangeFrame(0, 16, 3, 200)
-        assert opf.seed_fn(seed_of(3), f) != opf.seed_fn(seed_of(4), f)
+        assert opf.seed_fn(key_of(3), f) != opf.seed_fn(key_of(4), f)
+
+    def test_reference_encoding_at_byte_edges(self):
+        # every placement of values whose encodings differ in length: 0 (one
+        # zero byte), a byte's edge, a 4-byte length's edge, a 2-kilobit value
+        key = key_of(5)
+        for frame in itertools.product((0, 255, 256, 2**32, 7**800), repeat=4):
+            assert opf.seed_fn(key, opf.RangeFrame(*frame)).data == \
+                reference.frame_seed(key.master_seed, *frame), frame
+
+    @given(
+        frame=st.lists(st.one_of(st.sampled_from((0, 1, 255, 256, 2**32 - 1, 2**32)),
+                                 st.integers(min_value=0, max_value=2**6000)),
+                       min_size=4, max_size=4),
+        seed_byte=st.integers(min_value=0, max_value=255),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_encoding(self, frame, seed_byte):
+        key = key_of(seed_byte)
+        expected = reference.frame_seed(key.master_seed, *frame)
+        # the second call shows the key's keyed hash was copied, not fed
+        for _ in range(2):
+            assert opf.seed_fn(key, opf.RangeFrame(*frame)).data == expected
 
 
 class TestEndpoints:

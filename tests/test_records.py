@@ -3,12 +3,15 @@ defaults, field equality and hash, a repr that names the fields, and no
 assignment after construction."""
 
 import copy
+import hashlib
+import hmac
 import pickle
 
 import pytest
 
 from acdope.gacd import SchemeParams, SecretKey, ValidationReport
-from acdope.opf import OpfKey, RangeFrame, Sampler, opf_decrypt, opf_encrypt, save_key
+from acdope.opf import (OpfKey, RangeFrame, Sampler, load_key, opf_decrypt, opf_encrypt,
+                        save_key, seed_fn)
 from acdope.prng import Seed
 
 PARAMS = SchemeParams(M=128, lam=19)
@@ -88,3 +91,25 @@ def test_warm_opf_key_is_the_same_value(tmp_path):
     save_key(warm, str(tmp_path / "warm.key"))
     save_key(fresh, str(tmp_path / "fresh.key"))
     assert (tmp_path / "warm.key").read_bytes() == (tmp_path / "fresh.key").read_bytes()
+
+
+def test_opf_key_keeps_its_own_frame_hash(tmp_path):
+    # the HMAC keyed with the master seed is not a field: equal keys, clones
+    # and a reloaded key each build their own, and seed_fn only copies it
+    fields = next(f for cls, f, _ in RECORDS if cls is OpfKey)
+    key, twin = OpfKey(**fields), OpfKey(**fields)
+    frame = RangeFrame(0, 128, 3, 9000)
+    assert seed_fn(key, frame) == seed_fn(twin, frame)
+    save_key(key, str(tmp_path / "key.key"))
+    others = [twin, pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key),
+              load_key(str(tmp_path / "key.key"))]
+    keyed = hmac.new(fields["master_seed"].data, digestmod=hashlib.sha256).digest()
+    for other in others:
+        assert other == key and hash(other) == hash(key) and repr(other) == repr(key)
+        assert other._mac is not key._mac
+        assert other._mac.digest() == key._mac.digest() == keyed  # nothing was fed to it
+    assert "_mac" not in repr(key)
+    save_key(OpfKey(**fields), str(tmp_path / "fresh.key"))
+    assert (tmp_path / "key.key").read_bytes() == (tmp_path / "fresh.key").read_bytes()
+    rekeyed = OpfKey(**{**fields, "master_seed": Seed(b"\xcd" * 32)})
+    assert rekeyed._mac.digest() != keyed and seed_fn(rekeyed, frame) != seed_fn(key, frame)
